@@ -22,7 +22,6 @@ from .corpus import (
     build_vocab,
     build_vocab_from_file,
     normalize_text,
-    tokenize,
 )
 from .model import EmbeddingModel, composed_word_matrix, init_model, ns_loss, ns_update
 from .persist import load_bin, load_vec, save_bin, save_vec
@@ -57,7 +56,6 @@ __all__ = [
     "save_bin",
     "save_vec",
     "subword_ids",
-    "tokenize",
     "train",
     "word_vector",
 ]

@@ -142,8 +142,6 @@ def _resolve_seed(value: int | None) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     variant = args.variant.replace("-", "_") if args.variant else None
-    if variant is not None and args.model != "cbos":
-        raise _UsageError("-variant is only valid with -model cbos")
     if args.trace and args.thread != 1:
         raise _UsageError("--trace requires -thread 1")
     try:

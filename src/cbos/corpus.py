@@ -14,7 +14,6 @@ import math
 import sys
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -45,33 +44,11 @@ def normalize_text(text: str) -> str:
     return lowered.translate(table) if table else lowered
 
 
-def tokenize(text: str) -> list[str]:
-    """Split one sentence into tokens (maximal runs of non-whitespace)."""
-    return text.split()
-
-
-def iter_sentences(lines: Iterable[str]) -> Iterator[list[str]]:
-    """Yield one token list per input line; blank lines are skipped."""
-    for line in lines:
-        tokens = line.split()
-        if tokens:
-            yield tokens
-
-
 def iter_file_tokens(path: str) -> Iterator[str]:
     """Stream every token of a one-sentence-per-line UTF-8 text file."""
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             yield from line.split()
-
-
-@dataclass(frozen=True)
-class VocabEntry:
-    """One retained word: its surface form, corpus count, and dense id."""
-
-    word: str
-    count: int
-    id: int
 
 
 class Vocab:
@@ -102,13 +79,6 @@ class Vocab:
     def id_of(self, word: str) -> int | None:
         return self.word2id.get(word)
 
-    @property
-    def entries(self) -> list[VocabEntry]:
-        return [
-            VocabEntry(w, int(c), i)
-            for i, (w, c) in enumerate(zip(self.words, self.counts))
-        ]
-
     def frequencies(self) -> np.ndarray:
         """Per-word occurrence fraction count/total_tokens."""
         return self.counts / float(self.total_tokens)
@@ -126,8 +96,8 @@ class Vocab:
         """Write the debug dump: one ``word<TAB>count<TAB>id`` line per entry."""
         if out is None:
             out = sys.stdout
-        for entry in self.entries:
-            out.write(f"{entry.word}\t{entry.count}\t{entry.id}\n")
+        for i, (word, count) in enumerate(zip(self.words, self.counts.tolist())):
+            out.write(f"{word}\t{count}\t{i}\n")
 
 
 def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocab:

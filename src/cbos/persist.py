@@ -9,6 +9,7 @@ vocabulary with counts, and the training configuration bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from typing import BinaryIO
@@ -17,7 +18,7 @@ import numpy as np
 
 from .corpus import EmptyVocabError, Vocab
 from .model import EmbeddingModel, composed_word_matrix
-from .trainer import TrainConfig, config_from_dict, config_to_dict
+from .trainer import TrainConfig
 
 MAGIC = b"CBOS"
 FORMAT_VERSION = 1
@@ -129,7 +130,7 @@ def save_bin(model: EmbeddingModel, vocab: Vocab, config: TrainConfig, path: str
                 model.maxn,
             )
         )
-        _write_block(out, json.dumps(config_to_dict(config)).encode("utf-8"))
+        _write_block(out, json.dumps(dataclasses.asdict(config)).encode("utf-8"))
         vocab_block = {"words": vocab.words, "counts": vocab.counts.tolist()}
         _write_block(out, json.dumps(vocab_block).encode("utf-8"))
         _matrix_bytes(model.input_matrix).tofile(out)
@@ -161,7 +162,7 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
                 f"(this build reads {FORMAT_VERSION})"
             )
         try:
-            config = config_from_dict(json.loads(_read_block(handle, "config")))
+            config = TrainConfig(**json.loads(_read_block(handle, "config")))
             vocab_block = json.loads(_read_block(handle, "vocab"))
             words, counts = vocab_block["words"], vocab_block["counts"]
         except TruncatedFileError:

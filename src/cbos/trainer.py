@@ -1,18 +1,23 @@
 """Training schedules and epoch/worker orchestration.
 
-Three schedules share the :func:`cbos.model.ns_update` primitive. At each
-sentence position with a per-position window draw ``b``:
+Every schedule is one row of :data:`SCHEDULES`: whether a skip-gram phase
+runs, and the bag rule of its bag phase. At each sentence position with a
+per-position window draw ``b``, :meth:`Trainer.step` first runs the
+skip-gram phase (the center word's rows predict each context word), then
+issues the (context bag -> target) predictions the bag rule lists. All go
+through the one :func:`cbos.model.ns_update` primitive.
 
-* ``skipgram``: the center word's rows predict each context word.
-* ``cbow``: the averaged context bag predicts the center word.
-* ``cbos``: a skip-gram phase followed by a bag phase in which the context
-  minus one randomly chosen word ``p`` predicts ``p``. Five alternative bag
-  phases are selectable via ``TrainConfig.variant``.
+* ``skipgram``: the skip-gram phase only.
+* ``cbow``: no skip-gram phase; the averaged context bag predicts the center.
+* ``cbos`` (``baseline``): the skip-gram phase, then the context minus one
+  randomly chosen word ``p`` predicts ``p``. Five alternative bag rules are
+  selectable via ``TrainConfig.variant``; the table is keyed by the variant.
 
 Multi-worker training is asynchronous (hogwild style): workers are forked
 processes sharing the embedding matrices through anonymous shared memory,
 updating rows without locks. Lost or torn updates are tolerated; bit-exact
-reproducibility is guaranteed only at ``workers=1``.
+reproducibility is guaranteed only at ``workers=1``. Token, loss and update
+totals stay exact: each worker adds to its own row of a shared slot array.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, IO, Iterator
 
 import numpy as np
@@ -166,13 +171,75 @@ def lr_schedule(lr0: float, tokens_done: int, tokens_total_all_epochs: int) -> f
     return max(LR_FLOOR, lr0 * (1.0 - progress))
 
 
+# -- schedules -------------------------------------------------------------
+#
+# A bag rule maps one position to the (context positions, target position)
+# pairs of its bag phase, given the window's context positions ``ctx``.
+# ``Trainer.step`` calls it after the skip-gram phase, whose negative draws
+# share ``rng``, so the draw order (and thus every workers=1 run) stays
+# fixed. Only drop-one rules read ``p_index``.
+
+BagPlan = list[tuple[list[int], int]]
+BagRule = Callable[[list[int], int, list[int], np.random.Generator, int | None], BagPlan]
+
+
+def _full_bag(sentence, pos, ctx, rng, p_index) -> BagPlan:
+    """The whole context predicts the center word."""
+    return [(ctx, pos)] if ctx else []
+
+
+def _drop_one(sentence, pos, ctx, rng, p_index) -> BagPlan:
+    """The context minus one random word predicts that word (none if <2 words)."""
+    if len(ctx) < 2:
+        return []
+    p = ctx[int(rng.integers(0, len(ctx))) if p_index is None else p_index]
+    return [([j for j in ctx if j != p], p)]
+
+
+def _next_word(sentence, pos, ctx, rng, p_index) -> BagPlan:
+    """The bag grows left to right, predicting the next context word each time."""
+    return [(ctx[: i + 1], ctx[i + 1]) for i in range(len(ctx) - 1)]
+
+
+def _central_word(sentence, pos, ctx, rng, p_index) -> BagPlan:
+    """The growing bag predicts the center word at every size, the full bag too."""
+    return [(ctx[: i + 1], pos) for i in range(len(ctx))]
+
+
+def _variable_window(sentence, pos, ctx, rng, p_index) -> BagPlan:
+    """Drop-one inside a window redrawn uniform on [1, VARIABLE_WINDOW_MAX]."""
+    b = sample_window(VARIABLE_WINDOW_MAX, rng)
+    return _drop_one(sentence, pos, Trainer._context(len(sentence), pos, b), rng, p_index)
+
+
+def _non_repeated(sentence, pos, ctx, rng, p_index) -> BagPlan:
+    """Drop-one where each distinct word enters the bag once, in first-seen order."""
+    return [
+        (list({sentence[j]: j for j in bag}.values()), p)
+        for bag, p in _drop_one(sentence, pos, ctx, rng, p_index)
+    ]
+
+
+# schedule -> (skip-gram phase?, bag rule or None); keyed by variant for cbos
+SCHEDULES: dict[str, tuple[bool, BagRule | None]] = {
+    "skipgram": (True, None),
+    "cbow": (False, _full_bag),
+    "baseline": (True, _drop_one),
+    "next_word": (True, _next_word),
+    "central_word": (True, _central_word),
+    "non_random": (True, _full_bag),
+    "variable_window": (True, _variable_window),
+    "non_repeated": (True, _non_repeated),
+}
+
+
 class Trainer:
-    """Per-worker training state: rng, sampling buffers, and the step functions.
+    """Per-worker training state: rng, sampling buffers, and the schedule step.
 
     A trainer never owns the matrices; several trainers may share one model
-    (hogwild workers). All step functions operate on a ``sentence`` given as
-    a list of vocab ids (already subsampled) and return the summed loss of
-    the updates they issued.
+    (hogwild workers). :meth:`step` operates on a ``sentence`` given as a
+    list of vocab ids (already subsampled) and returns the summed loss of
+    the updates it issued.
     """
 
     def __init__(
@@ -207,13 +274,7 @@ class Trainer:
         self.loss_sum = 0.0
         self.n_updates = 0
         self.tokens_seen = 0
-        self._step = {
-            "skipgram": self.skipgram_step,
-            "cbow": self.cbow_step,
-            "cbos": self.cbos_step
-            if config.variant in (None, "baseline")
-            else self.cbos_variant_step,
-        }[config.model_kind]
+        self._skipgram, self._bag_rule = SCHEDULES[config.variant or config.model_kind]
 
     # -- sampling ----------------------------------------------------------
 
@@ -291,24 +352,9 @@ class Trainer:
             return parts[0]
         return np.concatenate(parts)
 
-    # -- schedules ---------------------------------------------------------
+    # -- schedule ----------------------------------------------------------
 
-    def skipgram_step(self, sentence: list[int], pos: int, b: int, lr: float) -> float:
-        """Center word predicts each context word within ``b`` positions."""
-        ids = self.subwords[sentence[pos]]
-        loss = 0.0
-        for j in self._context(len(sentence), pos, b):
-            loss += self._update(ids, sentence[j], lr, "skipgram", pos)
-        return loss
-
-    def cbow_step(self, sentence: list[int], pos: int, b: int, lr: float) -> float:
-        """Averaged context bag predicts the center word; skipped when the bag is empty."""
-        ctx = self._context(len(sentence), pos, b)
-        if not ctx:
-            return 0.0
-        return self._update(self._bag_ids(sentence, ctx), sentence[pos], lr, "bag", pos)
-
-    def cbos_step(
+    def step(
         self,
         sentence: list[int],
         pos: int,
@@ -316,94 +362,26 @@ class Trainer:
         lr: float,
         p_index: int | None = None,
     ) -> float:
-        """Skip-gram phase, then the context minus one random word predicts that word.
+        """Run the configured schedule at ``pos`` with window ``b``; return the summed loss.
 
         ``p_index`` (an index into the left-to-right context list) overrides
-        the random choice of the predicted word; instrumentation and tests
-        use it to force a particular replay. The bag phase is skipped when
-        excluding the chosen word would empty the bag.
+        the random choice of the dropped word in drop-one bag rules;
+        instrumentation and tests use it to force a particular replay.
         """
-        loss = self.skipgram_step(sentence, pos, b, lr)
         ctx = self._context(len(sentence), pos, b)
-        if len(ctx) < 2:
-            return loss
-        i = int(self.rng.integers(0, len(ctx))) if p_index is None else p_index
-        p_pos = ctx[i]
-        bag = self._bag_ids(sentence, [j for j in ctx if j != p_pos])
-        loss += self._update(bag, sentence[p_pos], lr, "bag", pos)
+        loss = 0.0
+        if self._skipgram:
+            ids = self.subwords[sentence[pos]]
+            for j in ctx:
+                loss += self._update(ids, sentence[j], lr, "skipgram", pos)
+        if self._bag_rule is not None:
+            for bag, target in self._bag_rule(sentence, pos, ctx, self.rng, p_index):
+                loss += self._update(
+                    self._bag_ids(sentence, bag), sentence[target], lr, "bag", pos
+                )
         return loss
 
-    def cbos_variant_step(
-        self,
-        sentence: list[int],
-        pos: int,
-        b: int,
-        lr: float,
-        variant: str | None = None,
-    ) -> float:
-        """One of the five alternative bag phases, after the shared skip-gram phase.
-
-        next_word: the bag grows left to right, predicting the next context
-        word after each addition. central_word: the growing bag predicts the
-        center word at every size, including the full bag. non_random: the
-        full bag predicts the center word. variable_window: the bag phase
-        redraws its window uniform on [1, 5] and then behaves like the
-        baseline inside the new window. non_repeated: like the baseline but
-        each distinct word enters the bag once.
-        """
-        if variant is None:
-            variant = self.cfg.variant
-        loss = self.skipgram_step(sentence, pos, b, lr)
-        ctx = self._context(len(sentence), pos, b)
-        if variant == "next_word":
-            for i in range(len(ctx) - 1):
-                loss += self._update(
-                    self._bag_ids(sentence, ctx[: i + 1]),
-                    sentence[ctx[i + 1]],
-                    lr,
-                    "bag",
-                    pos,
-                )
-        elif variant == "central_word":
-            for i in range(len(ctx)):
-                loss += self._update(
-                    self._bag_ids(sentence, ctx[: i + 1]), sentence[pos], lr, "bag", pos
-                )
-        elif variant == "non_random":
-            if ctx:
-                loss += self._update(
-                    self._bag_ids(sentence, ctx), sentence[pos], lr, "bag", pos
-                )
-        elif variant == "variable_window":
-            b2 = sample_window(VARIABLE_WINDOW_MAX, self.rng)
-            ctx2 = self._context(len(sentence), pos, b2)
-            if len(ctx2) >= 2:
-                i = int(self.rng.integers(0, len(ctx2)))
-                p_pos = ctx2[i]
-                bag = self._bag_ids(sentence, [j for j in ctx2 if j != p_pos])
-                loss += self._update(bag, sentence[p_pos], lr, "bag", pos)
-        elif variant == "non_repeated":
-            if len(ctx) >= 2:
-                i = int(self.rng.integers(0, len(ctx)))
-                p_pos = ctx[i]
-                seen: set[int] = set()
-                words: list[int] = []
-                for j in ctx:
-                    if j == p_pos:
-                        continue
-                    w = sentence[j]
-                    if w not in seen:
-                        seen.add(w)
-                        words.append(w)
-                if self._plain_words:
-                    bag = np.array(words, dtype=np.int64)
-                else:
-                    parts = [self.subwords[w] for w in words]
-                    bag = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                loss += self._update(bag, sentence[p_pos], lr, "bag", pos)
-        else:
-            raise ValueError(f"unknown cbos variant {variant!r}")
-        return loss
+    cbos_step = step
 
     # -- sentence loop -----------------------------------------------------
 
@@ -420,11 +398,11 @@ class Trainer:
         return ids, scanned
 
     def train_sentence(self, sentence: list[int], lr: float) -> None:
-        """Run the configured step at every position with per-position windows."""
+        """Run :meth:`step` at every position with per-position windows."""
         if not sentence:
             return
         bs = self.rng.integers(1, self.cfg.ws + 1, size=len(sentence)).tolist()
-        step = self._step
+        step = self.step
         for pos in range(len(sentence)):
             step(sentence, pos, bs[pos], lr)
 
@@ -484,24 +462,24 @@ def _shared_array(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, count=int(np.prod(shape))).reshape(shape)
 
 
-class _Counters:
-    """Token/loss/update totals; shared (racily, by design) across workers."""
+# Columns of the per-worker slot array. Each worker adds only to its own row,
+# so the column sums are exact totals (counts stay exact in float64 below 2**53).
+_TOKENS, _LOSS, _UPDATES = range(3)
 
-    def __init__(self, shared: bool):
-        alloc = _shared_array if shared else (lambda s, d: np.zeros(s, d))
-        self.tokens = alloc((1,), np.int64)
-        self.loss_sum = alloc((1,), np.float64)
-        self.updates = alloc((1,), np.int64)
+
+def _totals(slots: np.ndarray) -> tuple[int, float, int]:
+    """Tokens scanned, summed loss and updates over every worker's row."""
+    tokens, loss, updates = slots.sum(axis=0)
+    return int(tokens), loss, int(updates)
 
 
 def _print_progress(
-    out: IO[str], counters: _Counters, total: int, lr0: float, t0: float
+    out: IO[str], slots: np.ndarray, total: int, lr0: float, t0: float
 ) -> None:
-    done = int(counters.tokens[0])
-    updates = int(counters.updates[0])
+    done, loss, updates = _totals(slots)
     pct = 100.0 * min(1.0, done / total) if total else 100.0
     lr = lr_schedule(lr0, done, total)
-    avg = counters.loss_sum[0] / updates if updates else float("nan")
+    avg = loss / updates if updates else float("nan")
     tps = done / max(time.monotonic() - t0, 1e-9)
     out.write(
         f"\rprogress: {pct:5.1f}% lr: {lr:.6f} loss: {avg:.4f} tokens/sec: {tps:.0f}"
@@ -514,28 +492,30 @@ def _run_worker(
     path: str,
     worker_id: int,
     n_workers: int,
-    counters: _Counters,
+    slots: np.ndarray,
     total_expected: int,
     progress_out: IO[str] | None,
     t0: float,
 ) -> None:
     cfg = trainer.cfg
+    row, done = slots[worker_id], slots[:, _TOKENS]
     last_print = time.monotonic()
     for _epoch in range(cfg.epochs):
         for tokens in iter_slice_sentences(path, worker_id, n_workers):
             ids, scanned = trainer.prepare_sentence(tokens)
-            counters.tokens[0] += scanned
+            row[_TOKENS] += scanned
             if ids:
-                lr = lr_schedule(cfg.lr0, int(counters.tokens[0]), total_expected)
+                # read every sentence: a list sum is ~4x cheaper than ndarray.sum
+                lr = lr_schedule(cfg.lr0, int(sum(done.tolist())), total_expected)
                 loss_before = trainer.loss_sum
                 updates_before = trainer.n_updates
                 trainer.train_sentence(ids, lr)
-                counters.loss_sum[0] += trainer.loss_sum - loss_before
-                counters.updates[0] += trainer.n_updates - updates_before
+                row[_LOSS] += trainer.loss_sum - loss_before
+                row[_UPDATES] += trainer.n_updates - updates_before
             if progress_out is not None:
                 now = time.monotonic()
                 if now - last_print >= 0.5:
-                    _print_progress(progress_out, counters, total_expected, cfg.lr0, t0)
+                    _print_progress(progress_out, slots, total_expected, cfg.lr0, t0)
                     last_print = now
 
 
@@ -586,7 +566,7 @@ def train(
     initialize_matrices(model, config.seed)
 
     total_expected = vocab.total_tokens * config.epochs
-    counters = _Counters(shared)
+    slots = (_shared_array if shared else np.zeros)((config.workers, 3), np.float64)
     out = progress_out if progress_out is not None else sys.stderr
     t0 = time.monotonic()
 
@@ -604,7 +584,7 @@ def train(
             corpus_path,
             0,
             1,
-            counters,
+            slots,
             total_expected,
             out if progress else None,
             t0,
@@ -624,7 +604,7 @@ def train(
                     corpus_path,
                     worker_id,
                     config.workers,
-                    counters,
+                    slots,
                     total_expected,
                     None,
                     t0,
@@ -636,7 +616,7 @@ def train(
         while any(p.is_alive() for p in procs):
             time.sleep(0.25)
             if progress:
-                _print_progress(out, counters, total_expected, config.lr0, t0)
+                _print_progress(out, slots, total_expected, config.lr0, t0)
         for p in procs:
             p.join()
         failed = [p.name for p in procs if p.exitcode != 0]
@@ -645,24 +625,16 @@ def train(
 
     duration = time.monotonic() - t0
     if progress:
-        _print_progress(out, counters, total_expected, config.lr0, t0)
+        _print_progress(out, slots, total_expected, config.lr0, t0)
         out.write("\n")
         out.flush()
-    scanned = int(counters.tokens[0])
-    updates = int(counters.updates[0])
+    scanned, loss, updates = _totals(slots)
     stats = TrainStats(
         duration=duration,
         tokens_scanned=scanned,
         tokens_per_sec=scanned / max(duration, 1e-9),
         updates=updates,
-        avg_loss=float(counters.loss_sum[0] / updates) if updates else float("nan"),
+        avg_loss=float(loss / updates) if updates else float("nan"),
     )
     return TrainResult(model=model, vocab=vocab, config=config, stats=stats)
 
-
-def config_to_dict(config: TrainConfig) -> dict:
-    return asdict(config)
-
-
-def config_from_dict(data: dict) -> TrainConfig:
-    return TrainConfig(**data)

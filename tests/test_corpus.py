@@ -12,9 +12,7 @@ from cbos.corpus import (
     build_vocab,
     build_vocab_from_file,
     discard_probability,
-    iter_sentences,
     normalize_text,
-    tokenize,
 )
 
 
@@ -46,16 +44,6 @@ def test_normalized_text_has_no_punctuation_or_symbols(text):
 @hypothesis.given(st.text(max_size=200))
 def test_normalize_preserves_line_structure(text):
     assert normalize_text(text).count("\n") == text.lower().count("\n")
-
-
-def test_tokenize_splits_on_any_whitespace():
-    assert tokenize("i  am\treading") == ["i", "am", "reading"]
-    assert tokenize("   ") == []
-
-
-def test_iter_sentences_skips_blank_lines():
-    lines = ["a b", "", "  ", "c"]
-    assert list(iter_sentences(lines)) == [["a", "b"], ["c"]]
 
 
 def test_build_vocab_orders_by_count_then_first_occurrence():
@@ -109,11 +97,6 @@ def test_vocab_invariants(tokens, min_count):
     assert vocab.total_tokens == counts.sum()
 
 
-def test_entries_carry_word_count_id(tiny_vocab):
-    first = tiny_vocab.entries[0]
-    assert (first.word, first.count, first.id) == ("the", 6, 0)
-
-
 def test_dump_tsv_format(tiny_vocab, capsys):
     tiny_vocab.dump_tsv()
     lines = capsys.readouterr().out.strip().split("\n")
@@ -156,9 +139,9 @@ def test_discard_probability_rejects_bad_inputs():
 
 def test_set_discard_probs_matches_scalar_function(tiny_vocab):
     probs = tiny_vocab.set_discard_probs(0.05)
-    for entry in tiny_vocab.entries:
-        freq = entry.count / tiny_vocab.total_tokens
-        assert probs[entry.id] == pytest.approx(discard_probability(freq, 0.05))
+    for i, _word in enumerate(tiny_vocab.words):
+        freq = tiny_vocab.counts[i] / tiny_vocab.total_tokens
+        assert probs[i] == pytest.approx(discard_probability(freq, 0.05))
 
 
 def test_negative_table_floor_fill_two_words():
