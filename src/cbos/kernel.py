@@ -1,0 +1,644 @@
+"""Compiled training kernel and the counter-based RNG it shares with Python.
+
+One call of ``cbos_train_chunk`` trains one worker on a chunk of encoded
+sentences: subsampling, per-position window draws, the skip-gram phase,
+the bag rule of every schedule in :data:`cbos.trainer.SCHEDULES`, negative
+draws, the clamped-sigmoid loss and the SGD step of
+:func:`cbos.model.ns_update`, and the per-sentence linear learning rate.
+The Python :class:`cbos.trainer.Trainer` stays as its reference.
+
+The C source below is compiled on first use with the local C compiler into
+``$XDG_CACHE_HOME/cbos`` (default ``~/.cache/cbos``; a directory in the temp
+dir when that is not writable), under a name keyed by a hash of the source
+and the flags, and loaded through :mod:`ctypes`. Importing this module
+compiles nothing, so the query side works without a compiler.
+
+Floating point is strict (no ``-ffast-math``, no contraction into fused
+multiply-adds), so a given build is bit-deterministic. The dot products
+use eight fixed accumulators, which vectorizes without reassociation.
+
+:class:`CounterRng` is the Python twin of the kernel's RNG: splitmix64 over
+a counter, keyed by (seed, worker, stream). Windows, negatives,
+subsampling and bag-rule draws each take their own stream, so the kernel
+and the reference consume the same values without sharing a buffer order.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import secrets
+import shutil
+import subprocess
+import tempfile
+
+import numpy as np
+
+# RNG streams, one per kind of draw
+WINDOW, NEGATIVE, SUBSAMPLE, DROP = range(4)
+
+# Columns of the per-worker slot array the kernel adds to
+TOKENS, LOSS, SKIPGRAM_UPDATES, BAG_UPDATES = range(4)
+N_SLOTS = 4
+
+FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+C_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+#define TRACE_FLUSH (1 << 20) /* int32 trace entries before returning to Python */
+
+enum { WINDOW, NEGATIVE, SUBSAMPLE, DROP, N_STREAMS };
+enum { TOKENS, LOSS, SKIPGRAM_UPDATES, BAG_UPDATES, N_SLOTS };
+enum { NO_BAG, FULL_BAG, DROP_ONE, NEXT_WORD, CENTRAL_WORD, VARIABLE_WINDOW, NON_REPEATED };
+
+/* Every field is 8 bytes wide, so the ctypes mirror needs no padding rules. */
+typedef struct {
+    float *inp;                /* (V + bucket) x dim input rows */
+    float *out;                /* V x dim output rows */
+    const int64_t *row_off;    /* input rows of word w: rows[row_off[w] .. row_off[w + 1]) */
+    const int32_t *rows;
+    const int32_t *table;      /* negative-sampling table */
+    const double *discard;     /* per-word subsampling discard probability */
+    double *slots;             /* n_workers x N_SLOTS, this worker adds to its own row */
+    int32_t *events;           /* trace records, grown here, freed by cbos_release */
+    int64_t n_events;          /* int32 entries used */
+    int64_t events_cap;
+    uint64_t seed;
+    int64_t worker;
+    uint64_t counter[N_STREAMS];
+    double lr0;
+    double lr_floor;
+    double clamp;
+    int64_t total;             /* tokens of all epochs, for the learning rate */
+    int64_t n_workers;
+    int64_t table_size;
+    int64_t dim;
+    int64_t max_rows;          /* most input rows of one word */
+    int64_t negatives;
+    int64_t ws;
+    int64_t window_max;        /* variable-window redraw bound */
+    int64_t retry_limit;
+    int64_t skipgram;
+    int64_t bag_rule;
+    int64_t subsample;
+    int64_t trace;
+} Job;
+
+typedef struct {
+    int32_t *sent, *ctx, *bag, *ids, *outs, *draws;
+    float *hidden, *grad, *alpha;
+    uint64_t key[N_STREAMS];
+    double loss;
+    int64_t updates[2];
+} Scratch;
+
+static uint64_t mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+static uint64_t stream_key(uint64_t seed, uint64_t worker, uint64_t stream)
+{
+    return mix64(mix64(seed) ^ (worker << 8 | stream));
+}
+
+static uint64_t next64(uint64_t key, uint64_t *counter)
+{
+    return mix64(key + ++*counter * GOLDEN);
+}
+
+static int64_t below(uint64_t key, uint64_t *counter, int64_t n)
+{
+    return (int64_t)(((unsigned __int128)next64(key, counter) * (uint64_t)n) >> 64);
+}
+
+static double uniform(uint64_t key, uint64_t *counter)
+{
+    return (double)(next64(key, counter) >> 11) * 0x1.0p-53;
+}
+
+#define DRAW_BELOW(J, S, s, n) below((S)->key[s], &(J)->counter[s], (n))
+
+static float dot(const float *a, const float *b, int64_t n)
+{
+    float s0 = 0, s1 = 0, s2 = 0, s3 = 0, s4 = 0, s5 = 0, s6 = 0, s7 = 0;
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        s0 += a[i] * b[i];
+        s1 += a[i + 1] * b[i + 1];
+        s2 += a[i + 2] * b[i + 2];
+        s3 += a[i + 3] * b[i + 3];
+        s4 += a[i + 4] * b[i + 4];
+        s5 += a[i + 5] * b[i + 5];
+        s6 += a[i + 6] * b[i + 6];
+        s7 += a[i + 7] * b[i + 7];
+    }
+    float s = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
+    for (; i < n; i++)
+        s += a[i] * b[i];
+    return s;
+}
+
+static int emit(Job *J, int32_t phase, int64_t pos, int32_t target, const int32_t *in, int64_t n_in)
+{
+    int64_t need = J->n_events + 4 + n_in;
+    if (need > J->events_cap) {
+        int64_t cap = J->events_cap ? 2 * J->events_cap : 1 << 16;
+        while (cap < need)
+            cap *= 2;
+        int32_t *grown = realloc(J->events, (size_t)cap * sizeof(int32_t));
+        if (!grown)
+            return -1;
+        J->events = grown;
+        J->events_cap = cap;
+    }
+    int32_t *e = J->events + J->n_events;
+    e[0] = phase;
+    e[1] = (int32_t)pos;
+    e[2] = target;
+    e[3] = (int32_t)n_in;
+    memcpy(e + 4, in, (size_t)n_in * sizeof(int32_t));
+    J->n_events = need;
+    return 0;
+}
+
+/* One negative-sampling SGD step: the mean of the input rows `in` predicts
+   `target` against freshly drawn negatives (see cbos.model.ns_update). */
+static int predict(Job *J, Scratch *S, int32_t phase, int64_t pos,
+                   const int32_t *in, int64_t n_in, int32_t target, double lr)
+{
+    const int64_t dim = J->dim;
+    float *h;
+    if (n_in == 1) {
+        h = J->inp + (int64_t)in[0] * dim;
+    } else {
+        h = S->hidden;
+        memcpy(h, J->inp + (int64_t)in[0] * dim, (size_t)dim * sizeof(float));
+        for (int64_t r = 1; r < n_in; r++) {
+            const float *row = J->inp + (int64_t)in[r] * dim;
+            for (int64_t i = 0; i < dim; i++)
+                h[i] += row[i];
+        }
+        const float count = (float)n_in;
+        for (int64_t i = 0; i < dim; i++)
+            h[i] /= count;
+    }
+
+    int64_t n_out = 1;
+    S->outs[0] = target;
+    for (int64_t k = 0; k < J->negatives; k++)
+        S->draws[k] = J->table[DRAW_BELOW(J, S, NEGATIVE, J->table_size)];
+    for (int64_t k = 0; k < J->negatives; k++) {
+        int32_t v = S->draws[k];
+        if (v != target) {
+            S->outs[n_out++] = v;
+            continue;
+        }
+        for (int64_t r = 0; r < J->retry_limit; r++) {
+            v = J->table[DRAW_BELOW(J, S, NEGATIVE, J->table_size)];
+            if (v != target) {
+                S->outs[n_out++] = v;
+                break;
+            }
+        }
+    }
+
+    /* Every sigmoid and the input gradient use the incoming parameters. */
+    double loss = 0.0;
+    for (int64_t j = 0; j < n_out; j++) {
+        double s = dot(J->out + (int64_t)S->outs[j] * dim, h, dim);
+        if (s > J->clamp)
+            s = J->clamp;
+        else if (s < -J->clamp)
+            s = -J->clamp;
+        double sig = 1.0 / (1.0 + exp(-s));
+        if (j == 0) {
+            loss -= log(sig);
+            S->alpha[j] = (float)(lr * (1.0 - sig));
+        } else {
+            loss -= log1p(-sig);
+            S->alpha[j] = (float)(-lr * sig);
+        }
+    }
+    float *grad = S->grad;
+    memset(grad, 0, (size_t)dim * sizeof(float));
+    for (int64_t j = 0; j < n_out; j++) {
+        const float a = S->alpha[j];
+        const float *u = J->out + (int64_t)S->outs[j] * dim;
+        for (int64_t i = 0; i < dim; i++)
+            grad[i] += a * u[i];
+    }
+    for (int64_t j = 0; j < n_out; j++) {
+        const float a = S->alpha[j];
+        float *u = J->out + (int64_t)S->outs[j] * dim;
+        for (int64_t i = 0; i < dim; i++)
+            u[i] += a * h[i];
+    }
+    const float scale = (float)(1.0 / (double)n_in);
+    for (int64_t i = 0; i < dim; i++)
+        grad[i] *= scale;
+    for (int64_t r = 0; r < n_in; r++) {
+        float *row = J->inp + (int64_t)in[r] * dim;
+        for (int64_t i = 0; i < dim; i++)
+            row[i] += grad[i];
+    }
+
+    S->loss += loss;
+    S->updates[phase]++;
+    if (J->trace)
+        return emit(J, phase, pos, target, in, n_in);
+    return 0;
+}
+
+static int64_t context(int64_t n, int64_t pos, int64_t b, int32_t *ctx)
+{
+    int64_t lo = pos - b < 0 ? 0 : pos - b;
+    int64_t hi = pos + b > n - 1 ? n - 1 : pos + b;
+    int64_t k = 0;
+    for (int64_t j = lo; j <= hi; j++)
+        if (j != pos)
+            ctx[k++] = (int32_t)j;
+    return k;
+}
+
+/* The bag of sentence positions `bag[0..k)` predicts the word at `target`. */
+static int bag_predict(Job *J, Scratch *S, const int32_t *sent, int64_t pos,
+                       const int32_t *bag, int64_t k, int64_t target, double lr)
+{
+    int64_t n = 0;
+    for (int64_t i = 0; i < k; i++) {
+        int32_t w = sent[bag[i]];
+        for (int64_t r = J->row_off[w]; r < J->row_off[w + 1]; r++)
+            S->ids[n++] = J->rows[r];
+    }
+    return predict(J, S, 1, pos, S->ids, n, sent[target], lr);
+}
+
+static int step(Job *J, Scratch *S, const int32_t *sent, int64_t n, int64_t pos, int64_t b, double lr)
+{
+    int32_t *ctx = S->ctx, *bag = S->bag;
+    int64_t k = context(n, pos, b, ctx);
+    if (J->skipgram) {
+        int32_t w = sent[pos];
+        const int32_t *in = J->rows + J->row_off[w];
+        int64_t n_in = J->row_off[w + 1] - J->row_off[w];
+        for (int64_t i = 0; i < k; i++)
+            if (predict(J, S, 0, pos, in, n_in, sent[ctx[i]], lr))
+                return -1;
+    }
+    switch (J->bag_rule) {
+    case FULL_BAG:
+        return k > 0 ? bag_predict(J, S, sent, pos, ctx, k, pos, lr) : 0;
+    case NEXT_WORD:
+        for (int64_t i = 0; i + 1 < k; i++)
+            if (bag_predict(J, S, sent, pos, ctx, i + 1, ctx[i + 1], lr))
+                return -1;
+        return 0;
+    case CENTRAL_WORD:
+        for (int64_t i = 0; i < k; i++)
+            if (bag_predict(J, S, sent, pos, ctx, i + 1, pos, lr))
+                return -1;
+        return 0;
+    case VARIABLE_WINDOW:
+        k = context(n, pos, 1 + DRAW_BELOW(J, S, DROP, J->window_max), ctx);
+        /* fall through: drop-one inside the redrawn window */
+    case DROP_ONE:
+    case NON_REPEATED: {
+        if (k < 2)
+            return 0;
+        int32_t p = ctx[DRAW_BELOW(J, S, DROP, k)];
+        int64_t m = 0;
+        for (int64_t i = 0; i < k; i++) {
+            if (ctx[i] == p)
+                continue;
+            int fresh = 1;
+            if (J->bag_rule == NON_REPEATED)
+                for (int64_t q = 0; q < m && fresh; q++)
+                    fresh = sent[bag[q]] != sent[ctx[i]];
+            if (fresh)
+                bag[m++] = ctx[i];
+        }
+        return bag_predict(J, S, sent, pos, bag, m, p, lr);
+    }
+    default:
+        return 0;
+    }
+}
+
+static double lr_at(const Job *J, double done)
+{
+    if (J->total <= 0)
+        return J->lr_floor;
+    double progress = (double)(int64_t)done / (double)J->total;
+    if (progress > 1.0)
+        progress = 1.0;
+    double lr = J->lr0 * (1.0 - progress);
+    return lr > J->lr_floor ? lr : J->lr_floor;
+}
+
+/* Train on sentences ids[offsets[s] .. offsets[s + 1]); ids < 0 are
+   out-of-vocabulary tokens. Returns the number of sentences trained, fewer
+   than n_sentences when the trace buffer filled up, or -1 when memory ran
+   out. */
+int64_t cbos_train_chunk(Job *J, const int32_t *ids, const int64_t *offsets, int64_t n_sentences)
+{
+    int64_t longest = 0;
+    for (int64_t s = 0; s < n_sentences; s++)
+        if (offsets[s + 1] - offsets[s] > longest)
+            longest = offsets[s + 1] - offsets[s];
+    int64_t span = 2 * (J->ws > J->window_max ? J->ws : J->window_max);
+    Scratch S = {0};
+    S.sent = malloc((size_t)(longest + 1) * sizeof(int32_t));
+    S.ctx = malloc((size_t)span * sizeof(int32_t));
+    S.bag = malloc((size_t)span * sizeof(int32_t));
+    S.ids = malloc((size_t)(span * J->max_rows + 1) * sizeof(int32_t));
+    S.outs = malloc((size_t)(J->negatives + 1) * sizeof(int32_t));
+    S.draws = malloc((size_t)(J->negatives + 1) * sizeof(int32_t));
+    S.hidden = malloc((size_t)J->dim * sizeof(float));
+    S.grad = malloc((size_t)J->dim * sizeof(float));
+    S.alpha = malloc((size_t)(J->negatives + 1) * sizeof(float));
+    int status = 0;
+    int64_t s = 0;
+    if (!S.sent || !S.ctx || !S.bag || !S.ids || !S.outs || !S.draws || !S.hidden || !S.grad || !S.alpha) {
+        status = -1;
+        goto done;
+    }
+    for (int s = 0; s < N_STREAMS; s++)
+        S.key[s] = stream_key(J->seed, (uint64_t)J->worker, (uint64_t)s);
+
+    /* Other workers add to their rows concurrently: read and write through volatile. */
+    volatile double *slots = J->slots;
+    volatile double *row = slots + J->worker * N_SLOTS;
+    for (; s < n_sentences && status == 0 && J->n_events < TRACE_FLUSH; s++) {
+        int64_t n = 0, scanned = 0;
+        for (int64_t i = offsets[s]; i < offsets[s + 1]; i++) {
+            int32_t w = ids[i];
+            if (w < 0)
+                continue;
+            scanned++;
+            if (J->subsample && uniform(S.key[SUBSAMPLE], &J->counter[SUBSAMPLE]) < J->discard[w])
+                continue;
+            S.sent[n++] = w;
+        }
+        row[TOKENS] += (double)scanned;
+        if (n == 0)
+            continue;
+        double done = 0.0;
+        for (int64_t w = 0; w < J->n_workers; w++)
+            done += slots[w * N_SLOTS + TOKENS];
+        double lr = lr_at(J, done);
+        S.loss = 0.0;
+        S.updates[0] = S.updates[1] = 0;
+        for (int64_t pos = 0; pos < n && status == 0; pos++)
+            status = step(J, &S, S.sent, n, pos, 1 + DRAW_BELOW(J, &S, WINDOW, J->ws), lr);
+        row[LOSS] += S.loss;
+        row[SKIPGRAM_UPDATES] += (double)S.updates[0];
+        row[BAG_UPDATES] += (double)S.updates[1];
+    }
+done:
+    free(S.sent);
+    free(S.ctx);
+    free(S.bag);
+    free(S.ids);
+    free(S.outs);
+    free(S.draws);
+    free(S.hidden);
+    free(S.grad);
+    free(S.alpha);
+    return status ? -1 : s;
+}
+
+void cbos_release(Job *J)
+{
+    free(J->events);
+    J->events = NULL;
+    J->n_events = J->events_cap = 0;
+}
+
+/* The RNG from outside: n draws in [low, high), then n uniforms on [0, 1),
+   from one stream (the twin of CounterRng, for tests). */
+void cbos_rng_draws(uint64_t seed, int64_t worker, int64_t stream, int64_t low, int64_t high,
+                    int64_t n, int64_t *ints, double *reals)
+{
+    uint64_t key = stream_key(seed, (uint64_t)worker, (uint64_t)stream), counter = 0;
+    for (int64_t i = 0; i < n; i++)
+        ints[i] = low + below(key, &counter, high - low);
+    for (int64_t i = 0; i < n; i++)
+        reals[i] = uniform(key, &counter);
+}
+"""
+
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+class CounterRng:
+    """Splitmix64 over a counter, keyed by (seed, worker, stream); twin of the kernel's RNG.
+
+    Serves the ``integers`` and ``random`` calls of the training code with
+    the surface of :class:`numpy.random.Generator`. Integers come from the
+    high 64 bits of ``draw * (high - low)``, uniforms from the top 53 bits.
+    """
+
+    def __init__(self, seed: int, worker: int, stream: int):
+        self.key = _mix64(_mix64(seed & _M64) ^ ((worker << 8 | stream) & _M64))
+        self.counter = 0
+
+    def _next(self) -> int:
+        self.counter += 1
+        return _mix64((self.key + self.counter * _GOLDEN) & _M64)
+
+    def _below(self, n: int) -> int:
+        return (self._next() * n) >> 64
+
+    def integers(self, low: int, high: int | None = None, size: int | None = None):
+        if high is None:
+            low, high = 0, low
+        n = int(high) - int(low)
+        if n <= 0:
+            raise ValueError("low >= high")
+        if size is None:
+            return low + self._below(n)
+        return np.array([low + self._below(n) for _ in range(size)], dtype=np.int64)
+
+    def random(self, size: int | None = None):
+        if size is None:
+            return (self._next() >> 11) * 2.0**-53
+        return np.array([(self._next() >> 11) * 2.0**-53 for _ in range(size)])
+
+
+# -- the job a worker hands to the kernel ----------------------------------
+
+
+class Job(ctypes.Structure):
+    """Mirror of the C ``Job`` struct: pointers into the arrays of one worker's run."""
+
+    _fields_ = [
+        ("inp", ctypes.c_void_p),
+        ("out", ctypes.c_void_p),
+        ("row_off", ctypes.c_void_p),
+        ("rows", ctypes.c_void_p),
+        ("table", ctypes.c_void_p),
+        ("discard", ctypes.c_void_p),
+        ("slots", ctypes.c_void_p),
+        ("events", ctypes.POINTER(ctypes.c_int32)),
+        ("n_events", ctypes.c_int64),
+        ("events_cap", ctypes.c_int64),
+        ("seed", ctypes.c_uint64),
+        ("worker", ctypes.c_int64),
+        ("counter", ctypes.c_uint64 * 4),
+        ("lr0", ctypes.c_double),
+        ("lr_floor", ctypes.c_double),
+        ("clamp", ctypes.c_double),
+        ("total", ctypes.c_int64),
+        ("n_workers", ctypes.c_int64),
+        ("table_size", ctypes.c_int64),
+        ("dim", ctypes.c_int64),
+        ("max_rows", ctypes.c_int64),
+        ("negatives", ctypes.c_int64),
+        ("ws", ctypes.c_int64),
+        ("window_max", ctypes.c_int64),
+        ("retry_limit", ctypes.c_int64),
+        ("skipgram", ctypes.c_int64),
+        ("bag_rule", ctypes.c_int64),
+        ("subsample", ctypes.c_int64),
+        ("trace", ctypes.c_int64),
+    ]
+
+
+_ARRAY_FIELDS = {
+    "inp": np.float32,
+    "out": np.float32,
+    "row_off": np.int64,
+    "rows": np.int32,
+    "table": np.int32,
+    "discard": np.float64,
+    "slots": np.float64,
+}
+
+
+def _pointer(array: np.ndarray, dtype) -> int:
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise ValueError(f"kernel needs a C-contiguous {np.dtype(dtype)} array, got {array.dtype}")
+    return array.ctypes.data
+
+
+class ChunkTrainer:
+    """One worker's kernel job; holds every array the job points into."""
+
+    def __init__(self, arrays: dict[str, np.ndarray], **scalars):
+        self._lib = load()
+        self._arrays = arrays  # keeps the buffers alive while C holds pointers
+        self.job = Job(**scalars)
+        for name, dtype in _ARRAY_FIELDS.items():
+            setattr(self.job, name, _pointer(arrays[name], dtype))
+        if arrays["slots"].shape[1] != N_SLOTS or not 0 <= self.job.worker < arrays["slots"].shape[0]:
+            raise ValueError("slot array does not match the worker count")
+
+    def train_chunk(self, ids: np.ndarray, offsets: np.ndarray, on_events=None) -> None:
+        """Train on sentence ``s`` = ``ids[offsets[s]:offsets[s + 1]]`` for every ``s``.
+
+        With tracing, ``on_events`` receives the trace records (int32:
+        phase, position, target, n, then n input rows; repeated) whenever
+        the kernel returns, at the latest after every few MiB of them.
+        """
+        if offsets.size < 1 or offsets[0] != 0 or offsets[-1] != ids.size:
+            raise ValueError("sentence offsets do not cover the id array")
+        ids_ptr = _pointer(ids, np.int32)
+        start, n = 0, offsets.size - 1
+        while start < n:
+            done = self._lib.cbos_train_chunk(
+                ctypes.byref(self.job), ids_ptr, _pointer(offsets[start:], np.int64), n - start
+            )
+            if done < 0:
+                raise MemoryError("training kernel ran out of memory")
+            start += done
+            if self.job.n_events:
+                records = np.ctypeslib.as_array(self.job.events, shape=(self.job.n_events,))
+                self.job.n_events = 0
+                on_events(records.copy())
+
+    def close(self) -> None:
+        self._lib.cbos_release(ctypes.byref(self.job))
+
+
+# -- build and load --------------------------------------------------------
+
+
+def _compiler() -> str | None:
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    for path in (os.path.join(base, "cbos"), os.path.join(tempfile.gettempdir(), f"cbos-{os.getuid()}")):
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError:
+            continue
+        if os.access(path, os.W_OK | os.X_OK):
+            return path
+    raise RuntimeError(f"no writable cache directory for the training kernel (tried {base}/cbos and the temp dir)")
+
+
+def build() -> str:
+    """Path of the compiled kernel, compiling it into the cache directory if missing."""
+    digest = hashlib.sha256((C_SOURCE + "\0" + " ".join(FLAGS)).encode()).hexdigest()[:16]
+    directory = _cache_dir()
+    target = os.path.join(directory, f"kernel-{digest}.so")
+    if os.path.exists(target):
+        return target
+    compiler = _compiler()
+    if compiler is None:
+        raise RuntimeError("training needs a C compiler: neither 'cc' nor 'gcc' is on PATH")
+    stem = os.path.join(directory, f".kernel-{digest}-{os.getpid()}-{secrets.token_hex(4)}")
+    try:
+        with open(stem + ".c", "w", encoding="utf-8") as handle:
+            handle.write(C_SOURCE)
+        try:
+            proc = subprocess.run(
+                [compiler, *FLAGS, "-o", stem + ".so", stem + ".c", "-lm"],
+                capture_output=True,
+                text=True,
+            )
+        except OSError as exc:
+            raise RuntimeError(f"C compiler {compiler!r} could not run: {exc}") from exc
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"C compiler {compiler!r} failed to build the training kernel "
+                f"(exit {proc.returncode}):\n{proc.stderr.strip()}"
+            )
+        os.replace(stem + ".so", target)  # atomic: processes compiling at once each publish a whole file
+    finally:
+        for leftover in (stem + ".c", stem + ".so"):
+            if os.path.exists(leftover):
+                os.unlink(leftover)
+    return target
+
+
+@functools.cache
+def load() -> ctypes.CDLL:
+    """The compiled kernel, built on first use and loaded once per process."""
+    lib = ctypes.CDLL(build())
+    lib.cbos_train_chunk.argtypes = [ctypes.POINTER(Job), ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    lib.cbos_train_chunk.restype = ctypes.c_int64
+    lib.cbos_release.argtypes = [ctypes.POINTER(Job)]
+    lib.cbos_release.restype = None
+    lib.cbos_rng_draws.argtypes = [ctypes.c_uint64] + [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 2
+    lib.cbos_rng_draws.restype = None
+    return lib

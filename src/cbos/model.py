@@ -9,6 +9,10 @@ negative output rows, and apply one SGD step of the logistic loss
 Scores are clamped to [-8, 8] before the sigmoid so the exponential cannot
 overflow; within that range everything is computed exactly (no lookup
 tables).
+
+Training runs this step in the compiled kernel of :mod:`cbos.kernel`;
+:func:`compute_hidden` and :func:`ns_update` are its reference, which the
+tests compare it against.
 """
 
 from __future__ import annotations

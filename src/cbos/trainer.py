@@ -13,19 +13,33 @@ through the one :func:`cbos.model.ns_update` primitive.
   randomly chosen word ``p`` predicts ``p``. Five alternative bag rules are
   selectable via ``TrainConfig.variant``; the table is keyed by the variant.
 
+:func:`train` runs every schedule in the compiled kernel of
+:mod:`cbos.kernel`: each worker streams its byte slice of the corpus in
+blocks of about ``CHUNK_BYTES``, encodes a block to vocabulary ids in
+Python, and trains on it in one kernel call. :class:`Trainer` (``step``,
+``prepare_sentence``, ``train_sentence``, ``draw_negatives``) is the Python
+reference the tests compare the kernel against; ``train`` never calls it.
+Both draw from :class:`cbos.kernel.CounterRng` streams, one each for
+windows, negatives, subsampling and bag-rule choices, so at ``workers=1``
+they make the same predictions in the same order.
+
 Multi-worker training is asynchronous (hogwild style): workers are forked
 processes sharing the embedding matrices through anonymous shared memory,
 updating rows without locks. Lost or torn updates are tolerated; bit-exact
-reproducibility is guaranteed only at ``workers=1``. Token, loss and update
-totals stay exact: each worker adds to its own row of a shared slot array.
+reproducibility is guaranteed only at ``workers=1``. Token, loss and
+per-phase update totals stay exact: each worker adds to its own row of a
+shared slot array.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import mmap
 import multiprocessing
+import multiprocessing.connection
 import os
+import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -33,13 +47,20 @@ from typing import Callable, IO, Iterator
 
 import numpy as np
 
+from . import kernel
 from .corpus import (
     NEGATIVE_TABLE_SIZE,
     Vocab,
     build_negative_table,
     build_vocab_from_file,
 )
-from .model import EmbeddingModel, compute_hidden, initialize_matrices, ns_update
+from .model import (
+    SIGMOID_CLAMP,
+    EmbeddingModel,
+    compute_hidden,
+    initialize_matrices,
+    ns_update,
+)
 from .subword import SubwordConfig, build_subword_cache
 
 MODEL_KINDS = ("cbow", "skipgram", "cbos")
@@ -55,8 +76,8 @@ CBOS_VARIANTS = (
 LR_FLOOR = 1e-6
 VARIABLE_WINDOW_MAX = 5
 NEGATIVE_RETRY_LIMIT = 8
+CHUNK_BYTES = 1 << 20  # corpus text per kernel call
 
-_NEG_BUFFER = 8192
 _EMPTY_IDS = np.empty(0, dtype=np.int32)
 
 
@@ -232,14 +253,27 @@ SCHEDULES: dict[str, tuple[bool, BagRule | None]] = {
     "non_repeated": (True, _non_repeated),
 }
 
+# The kernel's code for a bag rule is its index here (the C enum's order).
+KERNEL_BAG_RULES = (
+    None,
+    _full_bag,
+    _drop_one,
+    _next_word,
+    _central_word,
+    _variable_window,
+    _non_repeated,
+)
+
 
 class Trainer:
-    """Per-worker training state: rng, sampling buffers, and the schedule step.
+    """Python reference of one worker: rng streams, sampling, and the schedule step.
 
-    A trainer never owns the matrices; several trainers may share one model
-    (hogwild workers). :meth:`step` operates on a ``sentence`` given as a
-    list of vocab ids (already subsampled) and returns the summed loss of
-    the updates it issued.
+    A trainer never owns the matrices. :meth:`step` operates on a
+    ``sentence`` given as a list of vocab ids (already subsampled) and
+    returns the summed loss of the updates it issued. By default it draws
+    from the four :class:`~cbos.kernel.CounterRng` streams of worker 0, as
+    the kernel does at ``workers=1``; a given ``rng`` (anything with
+    ``integers`` and ``random``) serves every draw instead.
     """
 
     def __init__(
@@ -247,14 +281,19 @@ class Trainer:
         model: EmbeddingModel,
         vocab: Vocab,
         config: TrainConfig,
-        rng: np.random.Generator | None = None,
+        rng=None,
         trace: TraceSink | None = None,
         subwords: list[np.ndarray] | None = None,
     ):
         self.model = model
         self.vocab = vocab
         self.cfg = config
-        self.rng = rng if rng is not None else np.random.default_rng(config.seed)
+        if rng is None:
+            streams = [kernel.CounterRng(config.seed, 0, s) for s in range(4)]
+        else:
+            streams = [rng] * 4
+        # in the kernel's stream order: WINDOW, NEGATIVE, SUBSAMPLE, DROP
+        self.window_rng, self.negative_rng, self.subsample_rng, self.drop_rng = streams
         self.trace = trace
         if subwords is None:
             subwords = build_subword_cache(vocab, config.subword_config())
@@ -269,23 +308,12 @@ class Trainer:
                 vocab, table_size=max(NEGATIVE_TABLE_SIZE, len(vocab))
             )
         self._table = vocab.negative_table
-        self._neg_buf = _EMPTY_IDS
-        self._neg_pos = 0
         self.loss_sum = 0.0
         self.n_updates = 0
         self.tokens_seen = 0
         self._skipgram, self._bag_rule = SCHEDULES[config.variant or config.model_kind]
 
     # -- sampling ----------------------------------------------------------
-
-    def _next_negative_block(self, k: int) -> np.ndarray:
-        if self._neg_pos + k > self._neg_buf.size:
-            idx = self.rng.integers(0, self._table.size, size=_NEG_BUFFER)
-            self._neg_buf = self._table[idx]
-            self._neg_pos = 0
-        block = self._neg_buf[self._neg_pos : self._neg_pos + k]
-        self._neg_pos += k
-        return block
 
     def draw_negatives(self, target: int) -> np.ndarray:
         """Sample up to ``negatives`` ids from the table, none equal to ``target``.
@@ -297,7 +325,8 @@ class Trainer:
         k = self.cfg.negatives
         if k == 0:
             return _EMPTY_IDS
-        block = self._next_negative_block(k)
+        rng, table = self.negative_rng, self._table
+        block = table[rng.integers(0, table.size, size=k)]
         if target not in block:
             return block
         kept: list[int] = []
@@ -306,7 +335,7 @@ class Trainer:
                 kept.append(value)
                 continue
             for _ in range(NEGATIVE_RETRY_LIMIT):
-                redrawn = int(self._next_negative_block(1)[0])
+                redrawn = int(table[rng.integers(0, table.size)])
                 if redrawn != target:
                     kept.append(redrawn)
                     break
@@ -375,7 +404,7 @@ class Trainer:
             for j in ctx:
                 loss += self._update(ids, sentence[j], lr, "skipgram", pos)
         if self._bag_rule is not None:
-            for bag, target in self._bag_rule(sentence, pos, ctx, self.rng, p_index):
+            for bag, target in self._bag_rule(sentence, pos, ctx, self.drop_rng, p_index):
                 loss += self._update(
                     self._bag_ids(sentence, bag), sentence[target], lr, "bag", pos
                 )
@@ -393,7 +422,7 @@ class Trainer:
         self.tokens_seen += scanned
         if ids and self._subsample_active:
             arr = np.array(ids, dtype=np.int64)
-            keep = self.rng.random(arr.size) >= self._discard[arr]
+            keep = self.subsample_rng.random(arr.size) >= self._discard[arr]
             ids = arr[keep].tolist()
         return ids, scanned
 
@@ -401,23 +430,22 @@ class Trainer:
         """Run :meth:`step` at every position with per-position windows."""
         if not sentence:
             return
-        bs = self.rng.integers(1, self.cfg.ws + 1, size=len(sentence)).tolist()
+        bs = self.window_rng.integers(1, self.cfg.ws + 1, size=len(sentence)).tolist()
         step = self.step
         for pos in range(len(sentence)):
             step(sentence, pos, bs[pos], lr)
 
 
-# -- corpus slicing and worker loop ---------------------------------------
+# -- corpus slicing and encoding ------------------------------------------
 
 
-def iter_slice_sentences(
-    path: str, worker_id: int, n_workers: int
-) -> Iterator[list[str]]:
-    """Token lists of every line starting inside this worker's byte range.
+def iter_slice_chunks(path: str, worker_id: int, n_workers: int) -> Iterator[bytes]:
+    """Blocks of whole lines, together every line starting inside this worker's byte range.
 
     The file is split into ``n_workers`` equal byte ranges; a worker whose
     range starts mid-line skips forward to the next newline, so every line
-    is processed by exactly one worker.
+    is processed by exactly one worker. A block holds about ``CHUNK_BYTES``
+    bytes, extended to the end of its last line.
     """
     size = os.path.getsize(path)
     start = size * worker_id // n_workers
@@ -426,16 +454,48 @@ def iter_slice_sentences(
         if start > 0:
             handle.seek(start - 1)
             handle.readline()
-        while True:
+        pos = handle.tell()
+        while pos < end:
+            block = handle.read(min(CHUNK_BYTES, end - pos))
+            if not block:
+                break
+            if not block.endswith(b"\n"):
+                block += handle.readline()
+            yield block
             pos = handle.tell()
-            if pos >= end:
-                break
-            line = handle.readline()
-            if not line:
-                break
-            tokens = line.decode("utf-8").split()
-            if tokens:
-                yield tokens
+
+
+def _sentences(block: bytes) -> Iterator[list[str]]:
+    for line in block.decode("utf-8").split("\n"):
+        tokens = line.split()
+        if tokens:
+            yield tokens
+
+
+def iter_slice_sentences(
+    path: str, worker_id: int, n_workers: int
+) -> Iterator[list[str]]:
+    """Token lists of every non-blank line starting inside this worker's byte range."""
+    for block in iter_slice_chunks(path, worker_id, n_workers):
+        yield from _sentences(block)
+
+
+def encode_chunk(block: bytes, word2id: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's input for one block: token ids (-1 out of vocabulary) and sentence offsets.
+
+    Sentence ``s`` is ``ids[offsets[s]:offsets[s + 1]]``; blank lines make
+    no sentence.
+    """
+    get = word2id.get
+    ids: list[int] = []
+    offsets = [0]
+    for tokens in _sentences(block):
+        ids += [get(t, -1) for t in tokens]
+        offsets.append(len(ids))
+    return np.array(ids, dtype=np.int32), np.array(offsets, dtype=np.int64)
+
+
+# -- worker loop -----------------------------------------------------------
 
 
 @dataclass
@@ -443,8 +503,10 @@ class TrainStats:
     duration: float
     tokens_scanned: int
     tokens_per_sec: float
-    updates: int
+    updates: int  # skipgram_updates + bag_updates
     avg_loss: float
+    skipgram_updates: int
+    bag_updates: int
 
 
 @dataclass
@@ -462,21 +524,20 @@ def _shared_array(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, count=int(np.prod(shape))).reshape(shape)
 
 
-# Columns of the per-worker slot array. Each worker adds only to its own row,
-# so the column sums are exact totals (counts stay exact in float64 below 2**53).
-_TOKENS, _LOSS, _UPDATES = range(3)
-
-
-def _totals(slots: np.ndarray) -> tuple[int, float, int]:
-    """Tokens scanned, summed loss and updates over every worker's row."""
-    tokens, loss, updates = slots.sum(axis=0)
-    return int(tokens), loss, int(updates)
+# Each worker's kernel adds only to its own row of the (workers, kernel.N_SLOTS)
+# slot array, so the column sums are exact totals (counts stay exact in
+# float64 below 2**53).
+def _totals(slots: np.ndarray) -> tuple[int, float, int, int]:
+    """Tokens scanned, summed loss, skip-gram and bag updates over every worker's row."""
+    tokens, loss, skipgram, bag = slots.sum(axis=0)
+    return int(tokens), loss, int(skipgram), int(bag)
 
 
 def _print_progress(
     out: IO[str], slots: np.ndarray, total: int, lr0: float, t0: float
 ) -> None:
-    done, loss, updates = _totals(slots)
+    done, loss, skipgram, bag = _totals(slots)
+    updates = skipgram + bag
     pct = 100.0 * min(1.0, done / total) if total else 100.0
     lr = lr_schedule(lr0, done, total)
     avg = loss / updates if updates else float("nan")
@@ -487,36 +548,107 @@ def _print_progress(
     out.flush()
 
 
-def _run_worker(
-    trainer: Trainer,
-    path: str,
-    worker_id: int,
-    n_workers: int,
+_PHASES = ("skipgram", "bag")
+
+
+def _emit_events(records: np.ndarray, sink: TraceSink, variant: str | None) -> None:
+    """Turn the kernel's trace records (phase, position, target, n, n input ids) into events."""
+    values = records.tolist()
+    i = 0
+    while i < len(values):
+        phase, position, target, n = values[i : i + 4]
+        ids = tuple(values[i + 4 : i + 4 + n])
+        sink(TraceEvent(_PHASES[phase], ids, target, position, variant))
+        i += 4 + n
+
+
+def _kernel_job(
+    config: TrainConfig,
+    model: EmbeddingModel,
+    vocab: Vocab,
+    rows: tuple[np.ndarray, np.ndarray],
     slots: np.ndarray,
-    total_expected: int,
+    worker_id: int,
+    traced: bool,
+) -> kernel.ChunkTrainer:
+    """One worker's kernel job over the shared model, tables and slot array."""
+    row_off, row_ids = rows
+    skipgram, bag_rule = SCHEDULES[config.variant or config.model_kind]
+    discard, table = vocab.discard_probs, vocab.negative_table
+    arrays = dict(
+        inp=model.input_matrix,
+        out=model.output_matrix,
+        row_off=row_off,
+        rows=row_ids,
+        table=table,
+        discard=discard,
+        slots=slots,
+    )
+    return kernel.ChunkTrainer(
+        arrays,
+        seed=config.seed % 2**64,
+        worker=worker_id,
+        lr0=config.lr0,
+        lr_floor=LR_FLOOR,
+        clamp=SIGMOID_CLAMP,
+        total=vocab.total_tokens * config.epochs,
+        n_workers=config.workers,
+        table_size=table.size,
+        dim=config.dim,
+        max_rows=int(np.diff(row_off).max()),
+        negatives=config.negatives,
+        ws=config.ws,
+        window_max=VARIABLE_WINDOW_MAX,
+        retry_limit=NEGATIVE_RETRY_LIMIT,
+        skipgram=int(skipgram),
+        bag_rule=KERNEL_BAG_RULES.index(bag_rule),
+        subsample=int((discard > 0).any()),
+        trace=int(traced),
+    )
+
+
+def _run_worker(
+    job: kernel.ChunkTrainer,
+    config: TrainConfig,
+    path: str,
+    vocab: Vocab,
+    worker_id: int,
+    slots: np.ndarray,
+    trace: TraceSink | None,
     progress_out: IO[str] | None,
     t0: float,
 ) -> None:
-    cfg = trainer.cfg
-    row, done = slots[worker_id], slots[:, _TOKENS]
     last_print = time.monotonic()
-    for _epoch in range(cfg.epochs):
-        for tokens in iter_slice_sentences(path, worker_id, n_workers):
-            ids, scanned = trainer.prepare_sentence(tokens)
-            row[_TOKENS] += scanned
-            if ids:
-                # read every sentence: a list sum is ~4x cheaper than ndarray.sum
-                lr = lr_schedule(cfg.lr0, int(sum(done.tolist())), total_expected)
-                loss_before = trainer.loss_sum
-                updates_before = trainer.n_updates
-                trainer.train_sentence(ids, lr)
-                row[_LOSS] += trainer.loss_sum - loss_before
-                row[_UPDATES] += trainer.n_updates - updates_before
+    total = vocab.total_tokens * config.epochs
+    on_events = None
+    if trace is not None:
+        on_events = functools.partial(_emit_events, sink=trace, variant=config.variant)
+    for _epoch in range(config.epochs):
+        for block in iter_slice_chunks(path, worker_id, config.workers):
+            job.train_chunk(*encode_chunk(block, vocab.word2id), on_events)
             if progress_out is not None:
                 now = time.monotonic()
                 if now - last_print >= 0.5:
-                    _print_progress(progress_out, slots, total_expected, cfg.lr0, t0)
+                    _print_progress(progress_out, slots, total, config.lr0, t0)
                     last_print = now
+
+
+_ERROR_BYTES = 1024  # room for one worker's "ExcType: message"
+
+
+def _worker_failure(proc, message: bytes) -> str | None:
+    """What a finished worker process reports, or None when it succeeded."""
+    if proc.exitcode == 0:
+        return None
+    text = message.rstrip(b"\0").decode("utf-8", "replace")
+    if text:
+        return f"{proc.name}: {text}"
+    if proc.exitcode < 0:
+        try:
+            return f"{proc.name} killed by {signal.Signals(-proc.exitcode).name}"
+        except ValueError:
+            return f"{proc.name} killed by signal {-proc.exitcode}"
+    return f"{proc.name} exited with code {proc.exitcode}"
 
 
 def train(
@@ -531,12 +663,15 @@ def train(
     """Train a model on a one-sentence-per-line corpus file.
 
     Builds the vocabulary (unless one is supplied), the negative-sampling
-    table, and the subword cache, then runs ``config.epochs`` passes with
-    ``config.workers`` workers over equal byte-range slices of the corpus.
-    ``stats.duration`` covers the training passes only, not vocabulary I/O.
+    table, and the subword cache, loads the compiled kernel (building it on
+    first use; a missing C compiler raises ``RuntimeError``), then runs
+    ``config.epochs`` passes with ``config.workers`` workers over equal
+    byte-range slices of the corpus. ``stats.duration`` covers the training
+    passes only, not vocabulary I/O.
 
     Tracing requires ``workers=1``; multi-worker runs share matrices without
-    locks and are not bit-reproducible.
+    locks and are not bit-reproducible. A failed worker's exception text
+    (or the signal that killed it) reaches the ``RuntimeError`` raised here.
     """
     if trace is not None and config.workers != 1:
         raise ValueError("tracing requires workers=1")
@@ -546,6 +681,10 @@ def train(
     if vocab.negative_table is None:
         build_negative_table(vocab, table_size=max(NEGATIVE_TABLE_SIZE, len(vocab)))
     subwords = build_subword_cache(vocab, config.subword_config())
+    row_off = np.zeros(len(subwords) + 1, dtype=np.int64)
+    np.cumsum([ids.size for ids in subwords], out=row_off[1:])
+    rows = (row_off, np.concatenate(subwords).astype(np.int32))
+    kernel.load()  # build or load it now: outside the timed passes, once for all forks
 
     n_rows = len(vocab) + config.bucket_rows
     shared = config.workers > 1
@@ -566,75 +705,73 @@ def train(
     initialize_matrices(model, config.seed)
 
     total_expected = vocab.total_tokens * config.epochs
-    slots = (_shared_array if shared else np.zeros)((config.workers, 3), np.float64)
+    slots = (_shared_array if shared else np.zeros)((config.workers, kernel.N_SLOTS), np.float64)
     out = progress_out if progress_out is not None else sys.stderr
     t0 = time.monotonic()
 
     if config.workers == 1:
-        trainer = Trainer(
-            model,
-            vocab,
-            config,
-            rng=np.random.default_rng(config.seed),
-            trace=trace,
-            subwords=subwords,
-        )
-        _run_worker(
-            trainer,
-            corpus_path,
-            0,
-            1,
-            slots,
-            total_expected,
-            out if progress else None,
-            t0,
-        )
+        job = _kernel_job(config, model, vocab, rows, slots, 0, trace is not None)
+        try:
+            _run_worker(
+                job,
+                config,
+                corpus_path,
+                vocab,
+                0,
+                slots,
+                trace,
+                out if progress else None,
+                t0,
+            )
+        finally:
+            job.close()
     else:
+        errors = _shared_array((config.workers, _ERROR_BYTES), np.uint8)
         ctx = multiprocessing.get_context("fork")
         procs = []
         for w in range(config.workers):
 
             def _child(worker_id: int = w) -> None:
-                rng = np.random.default_rng(config.seed + worker_id)
-                worker_trainer = Trainer(
-                    model, vocab, config, rng=rng, subwords=subwords
-                )
-                _run_worker(
-                    worker_trainer,
-                    corpus_path,
-                    worker_id,
-                    config.workers,
-                    slots,
-                    total_expected,
-                    None,
-                    t0,
-                )
+                try:
+                    job = _kernel_job(config, model, vocab, rows, slots, worker_id, False)
+                    _run_worker(
+                        job, config, corpus_path, vocab, worker_id, slots, None, None, t0
+                    )
+                except BaseException as exc:
+                    text = f"{type(exc).__name__}: {exc}".encode()[:_ERROR_BYTES]
+                    errors[worker_id, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+                    raise
 
             proc = ctx.Process(target=_child, name=f"cbos-worker-{w}")
             proc.start()
             procs.append(proc)
-        while any(p.is_alive() for p in procs):
-            time.sleep(0.25)
+        running = {p.sentinel for p in procs}
+        while running:  # wakes as soon as the last worker exits
+            running.difference_update(multiprocessing.connection.wait(running, timeout=0.25))
             if progress:
                 _print_progress(out, slots, total_expected, config.lr0, t0)
         for p in procs:
             p.join()
-        failed = [p.name for p in procs if p.exitcode != 0]
+        failed = [
+            f for p, message in zip(procs, errors) if (f := _worker_failure(p, message.tobytes()))
+        ]
         if failed:
-            raise RuntimeError(f"training workers failed: {', '.join(failed)}")
+            raise RuntimeError(f"training workers failed: {'; '.join(failed)}")
 
     duration = time.monotonic() - t0
     if progress:
         _print_progress(out, slots, total_expected, config.lr0, t0)
         out.write("\n")
         out.flush()
-    scanned, loss, updates = _totals(slots)
+    scanned, loss, skipgram_updates, bag_updates = _totals(slots)
+    updates = skipgram_updates + bag_updates
     stats = TrainStats(
         duration=duration,
         tokens_scanned=scanned,
         tokens_per_sec=scanned / max(duration, 1e-9),
         updates=updates,
         avg_loss=float(loss / updates) if updates else float("nan"),
+        skipgram_updates=skipgram_updates,
+        bag_updates=bag_updates,
     )
     return TrainResult(model=model, vocab=vocab, config=config, stats=stats)
-

@@ -212,3 +212,44 @@ def test_bin_header_vocab_count_mismatch(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="claims"):
         load_bin(str(path))
+
+
+# -- atomic writes ---------------------------------------------------------
+
+
+def fail_after_first_row(model, vocab):
+    yield np.zeros(model.dim, dtype=np.float32)
+    raise OSError("disk full")
+
+
+def fail_on_matrix(matrix):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize(
+    "name,target,broken",
+    [
+        ("m.cbos", "_matrix_bytes", fail_on_matrix),
+        ("m.vec", "composed_word_matrix", fail_after_first_row),
+    ],
+)
+def test_failed_save_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, name, target, broken):
+    import cbos.persist as persist
+
+    model, vocab, config = fixture_model()
+    path = tmp_path / name
+
+    def save():
+        if name.endswith(".cbos"):
+            save_bin(model, vocab, config, str(path))
+        else:
+            save_vec(model, vocab, str(path))
+
+    save()
+    before = path.read_bytes()
+    model.input_matrix += 1.0  # the next save would write different bytes
+    monkeypatch.setattr(persist, target, broken)
+    with pytest.raises(OSError, match="disk full"):
+        save()  # fails after its header is already written
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]

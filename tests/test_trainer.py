@@ -1,11 +1,14 @@
 import json
 import io
+import os
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbos.trainer as trainer_module
 from cbos.corpus import build_negative_table, build_vocab
 from cbos.subword import build_subword_cache
 from cbos.trainer import (
@@ -17,6 +20,8 @@ from cbos.trainer import (
     TraceEvent,
     TrainConfig,
     Trainer,
+    encode_chunk,
+    iter_slice_chunks,
     iter_slice_sentences,
     lr_schedule,
     sample_window,
@@ -486,6 +491,31 @@ def test_iter_slice_partition_property(tmp_path_factory, lines, n_workers):
     assert merged == [line for line in lines if line]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    text=st.text(alphabet="ab \n", max_size=60),
+    n_workers=st.integers(1, 4),
+    chunk_bytes=st.integers(1, 9),
+)
+def test_iter_slice_chunks_hold_whole_lines(tmp_path_factory, text, n_workers, chunk_bytes):
+    path = tmp_path_factory.mktemp("chunks") / "c.txt"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer_module, "CHUNK_BYTES", chunk_bytes)
+        blocks = [
+            block for w in range(n_workers) for block in iter_slice_chunks(str(path), w, n_workers)
+        ]
+    assert b"".join(blocks) == text.encode()
+    assert all(b.endswith(b"\n") for b in blocks[:-1])
+
+
+def test_encode_chunk_ids_and_offsets():
+    vocab = distinct_vocab()
+    ids, offsets = encode_chunk(b"w01 zz w03\n\n  \nw02\nqq\n", vocab.word2id)
+    assert ids.tolist() == [1, -1, 3, 2, -1]  # -1: out of vocabulary
+    assert offsets.tolist() == [0, 3, 4, 5]  # blank lines make no sentence
+
+
 # -- full runs -------------------------------------------------------------
 
 
@@ -562,8 +592,14 @@ def test_train_trace_counts_fixed_window(tmp_path):
         cfg = quick_config(
             model_kind=kind, variant=variant, ws=1, epochs=1, negatives=0
         )
-        train(cfg, str(path), trace=rec)
+        stats = train(cfg, str(path), trace=rec).stats
         assert len(rec.events) == count, name
+        # the per-phase counters are exact: they equal the trace's counts
+        assert stats.skipgram_updates == rec.phases().count("skipgram"), name
+        assert stats.bag_updates == rec.phases().count("bag"), name
+        assert stats.updates == count, name
+        if name == "cbos":
+            assert (stats.skipgram_updates, stats.bag_updates) == (38, 18)
 
 
 def test_train_trace_variable_window_bounds(tmp_path):
@@ -590,6 +626,30 @@ def test_train_multi_worker_updates_shared_model(tmp_path):
         assert result.stats.tokens_scanned == result.vocab.total_tokens * 2
         assert result.stats.updates > 0
         assert not (result.model.output_matrix == 0).all()
+
+
+def raise_in_worker(block, word2id):
+    raise ValueError("no such token table")
+
+
+def kill_worker(block, word2id):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "broken,expected",
+    [
+        (raise_in_worker, "cbos-worker-0: ValueError: no such token table"),
+        (kill_worker, "cbos-worker-0 killed by SIGKILL"),
+    ],
+)
+def test_worker_failure_reaches_parent(tmp_path, monkeypatch, broken, expected):
+    monkeypatch.setattr(trainer_module, "encode_chunk", broken)  # forked workers inherit it
+    path = small_corpus(tmp_path)
+    with pytest.raises(RuntimeError) as info:
+        train(quick_config(workers=2), path)
+    assert expected in str(info.value)
+    assert expected.replace("worker-0", "worker-1") in str(info.value)
 
 
 def test_train_progress_line_format(tmp_path):
