@@ -139,19 +139,22 @@ def discard_probability(word_freq: float, threshold: float) -> float:
 def build_negative_table(
     vocab: Vocab,
     power: float = NEGATIVE_POWER,
-    table_size: int = NEGATIVE_TABLE_SIZE,
+    table_size: int | None = None,
 ) -> np.ndarray:
     """Build the negative-sampling table: word ids repeated ∝ count^power.
 
-    Word ``i`` occupies the slots between ``floor(size * cum[i-1])`` and
-    ``floor(size * cum[i])`` of the table, where ``cum`` is the cumulative
-    normalized ``count^power`` distribution, so drawing uniform indices
-    samples the unigram^power distribution.
+    The table has ``table_size`` slots, by default ``NEGATIVE_TABLE_SIZE``
+    or one per word when the vocabulary is larger. Word ``i`` occupies the
+    slots between ``floor(size * cum[i-1])`` and ``floor(size * cum[i])``,
+    where ``cum`` is the cumulative normalized ``count^power`` distribution,
+    so drawing uniform indices samples the unigram^power distribution.
     """
     if len(vocab) == 0:
         raise EmptyVocabError("cannot build a negative table for an empty vocab")
     if not 0.0 < power <= 1.0:
         raise ValueError(f"power must be in (0, 1], got {power}")
+    if table_size is None:
+        table_size = max(NEGATIVE_TABLE_SIZE, len(vocab))
     if table_size < len(vocab):
         raise ValueError(
             f"table_size {table_size} smaller than vocabulary size {len(vocab)}"

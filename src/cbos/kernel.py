@@ -1,11 +1,15 @@
 """Compiled training kernel and the counter-based RNG it shares with Python.
 
-One call of ``cbos_train_chunk`` trains one worker on a chunk of encoded
-sentences: subsampling, per-position window draws, the skip-gram phase,
-the bag rule of every schedule in :data:`cbos.trainer.SCHEDULES`, negative
-draws, the clamped-sigmoid loss and the SGD step of
-:func:`cbos.model.ns_update`, and the per-sentence linear learning rate.
-The Python :class:`cbos.trainer.Trainer` stays as its reference.
+One call of ``cbos_encode_block`` turns a raw block of corpus text into
+vocabulary ids: it validates the UTF-8 as the strict decoder does, splits
+lines on ``\n`` and tokens as ``str.split()`` does, and looks each token up
+in a :class:`VocabIndex`. One call of ``cbos_train_chunk`` then trains one
+worker on those sentences: subsampling, per-position window draws, the
+skip-gram phase, the bag rule of every schedule in
+:data:`cbos.trainer.SCHEDULES`, negative draws, the clamped-sigmoid loss
+and the SGD step of :func:`cbos.model.ns_update`, and the per-sentence
+linear learning rate. The Python :func:`cbos.trainer.encode_chunk` and
+:class:`cbos.trainer.Trainer` stay as their references.
 
 The C source below is compiled on first use with the local C compiler into
 ``$XDG_CACHE_HOME/cbos`` (default ``~/.cache/cbos``; a directory in the temp
@@ -424,6 +428,130 @@ void cbos_release(Job *J)
     J->n_events = J->events_cap = 0;
 }
 
+/* -- vocabulary index and block encoder ---------------------------------- */
+
+#define FNV_OFFSET 0xcbf29ce484222325ULL
+#define FNV_PRIME 0x100000001b3ULL
+
+typedef struct {
+    const uint8_t *blob;       /* UTF-8 bytes of every word, back to back */
+    const int64_t *offsets;    /* word w is blob[offsets[w] .. offsets[w + 1]) */
+    int32_t *table;            /* word ids by FNV-1a-64 slot, -1 empty; mask + 1 >= 2 words */
+    int64_t n_words;
+    int64_t mask;
+} Index;
+
+/* The slot holding word s[0..n) with hash h, or the empty slot where it would go. */
+static int32_t *index_slot(const Index *X, const uint8_t *s, int64_t n, uint64_t h)
+{
+    for (uint64_t i = h & (uint64_t)X->mask;; i = (i + 1) & (uint64_t)X->mask) {
+        int32_t w = X->table[i];
+        if (w < 0 || (X->offsets[w + 1] - X->offsets[w] == n
+                      && memcmp(X->blob + X->offsets[w], s, (size_t)n) == 0))
+            return X->table + i;
+    }
+}
+
+void cbos_index_build(Index *X)
+{
+    for (int64_t i = 0; i <= X->mask; i++)
+        X->table[i] = -1;
+    for (int64_t w = 0; w < X->n_words; w++) {
+        const uint8_t *s = X->blob + X->offsets[w];
+        int64_t n = X->offsets[w + 1] - X->offsets[w];
+        uint64_t h = FNV_OFFSET;
+        for (int64_t i = 0; i < n; i++)
+            h = (h ^ s[i]) * FNV_PRIME;
+        *index_slot(X, s, n, h) = (int32_t)w; /* a repeated word keeps its last id, as a dict does */
+    }
+}
+
+/* Length of the UTF-8 character at s[0..n), or 0 where the strict decoder
+   fails: stray continuation bytes, overlong forms, surrogates, values above
+   U+10FFFF and truncated sequences. */
+static int64_t utf8_length(const uint8_t *s, int64_t n)
+{
+    uint8_t c = s[0];
+    if (c < 0x80)
+        return 1;
+    if (c < 0xC2)
+        return 0;
+    if (c < 0xE0)
+        return n >= 2 && (s[1] & 0xC0) == 0x80 ? 2 : 0;
+    if (c < 0xF0) {
+        uint8_t lo = c == 0xE0 ? 0xA0 : 0x80, hi = c == 0xED ? 0x9F : 0xBF;
+        return n >= 3 && s[1] >= lo && s[1] <= hi && (s[2] & 0xC0) == 0x80 ? 3 : 0;
+    }
+    if (c < 0xF5) {
+        uint8_t lo = c == 0xF0 ? 0x90 : 0x80, hi = c == 0xF4 ? 0x8F : 0xBF;
+        return n >= 4 && s[1] >= lo && s[1] <= hi && (s[2] & 0xC0) == 0x80
+            && (s[3] & 0xC0) == 0x80 ? 4 : 0;
+    }
+    return 0;
+}
+
+/* Whether the valid k-byte character at s separates tokens in str.split():
+   \t \v \f \r, space, \x1c-\x1f, U+0085, U+00A0, U+1680, U+2000-U+200A,
+   U+2028, U+2029, U+202F, U+205F and U+3000 (the newline is handled apart). */
+static int is_space(const uint8_t *s, int64_t k)
+{
+    if (k == 1)
+        return s[0] == ' ' || (s[0] >= 0x09 && s[0] <= 0x0D) || (s[0] >= 0x1C && s[0] <= 0x1F);
+    if (k == 2)
+        return s[0] == 0xC2 && (s[1] == 0x85 || s[1] == 0xA0);
+    if (k != 3)
+        return 0;
+    if (s[0] == 0xE1)
+        return s[1] == 0x9A && s[2] == 0x80;
+    if (s[0] == 0xE2)
+        return (s[1] == 0x80 && (s[2] <= 0x8A || s[2] == 0xA8 || s[2] == 0xA9 || s[2] == 0xAF))
+            || (s[1] == 0x81 && s[2] == 0x9F);
+    return s[0] == 0xE3 && s[1] == 0x80 && s[2] == 0x80;
+}
+
+/* Encode a block of UTF-8 text for cbos_train_chunk: lines split on '\n',
+   tokens as str.split() splits them, ids[] the vocabulary id of each token
+   (-1 out of vocabulary), sentence s = ids[offsets[s] .. offsets[s + 1]);
+   lines without tokens make no sentence. ids needs room for n / 2 + 1
+   entries and offsets for one more. Returns the sentence count, or
+   -(1 + i) when the character at byte i is invalid UTF-8. */
+int64_t cbos_encode_block(const Index *X, const uint8_t *s, int64_t n, int32_t *ids, int64_t *offsets)
+{
+    int64_t n_ids = 0, n_sentences = 0, start = -1;
+    uint64_t h = FNV_OFFSET;
+    offsets[0] = 0;
+    for (int64_t i = 0, k; i <= n; i += k) {
+        k = 1;
+        if (i < n && s[i] > ' ' && s[i] < 0x80) { /* the common case: ASCII inside a token */
+            if (start < 0)
+                start = i;
+            h = (h ^ s[i]) * FNV_PRIME;
+            continue;
+        }
+        int newline = i == n || s[i] == '\n'; /* the end of the block ends its last line */
+        if (!newline) {
+            k = utf8_length(s + i, n - i);
+            if (k == 0)
+                return -(1 + i);
+            if (!is_space(s + i, k)) {
+                if (start < 0)
+                    start = i;
+                for (int64_t j = i; j < i + k; j++)
+                    h = (h ^ s[j]) * FNV_PRIME;
+                continue;
+            }
+        }
+        if (start >= 0) {
+            ids[n_ids++] = *index_slot(X, s + start, i - start, h);
+            start = -1;
+            h = FNV_OFFSET;
+        }
+        if (newline && n_ids > offsets[n_sentences])
+            offsets[++n_sentences] = n_ids;
+    }
+    return n_sentences;
+}
+
 /* The RNG from outside: n draws in [low, high), then n uniforms on [0, 1),
    from one stream (the twin of CounterRng, for tests). */
 void cbos_rng_draws(uint64_t seed, int64_t worker, int64_t stream, int64_t low, int64_t high,
@@ -577,6 +705,71 @@ class ChunkTrainer:
         self._lib.cbos_release(ctypes.byref(self.job))
 
 
+# -- vocabulary index and block encoder ------------------------------------
+
+
+class Index(ctypes.Structure):
+    """Mirror of the C ``Index`` struct."""
+
+    _fields_ = [
+        ("blob", ctypes.c_void_p),
+        ("offsets", ctypes.c_void_p),
+        ("table", ctypes.c_void_p),
+        ("n_words", ctypes.c_int64),
+        ("mask", ctypes.c_int64),
+    ]
+
+
+class VocabIndex:
+    """Vocabulary words -> ids for the kernel's block encoder.
+
+    An open-addressing table of int32 word ids with a power-of-two capacity
+    of at least twice the word count, keyed by the FNV-1a-64 hash of each
+    word's UTF-8 bytes; ``blob`` and ``offsets`` hold those bytes for the
+    exact comparison. The table is built by one kernel call, so the hash
+    exists only in C. Build it once before forking workers: they share it,
+    while each process grows its own encode buffers.
+    """
+
+    def __init__(self, words: list[str]):
+        self._lib = load()
+        encoded = [word.encode("utf-8") for word in words]
+        self.blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+        self.offsets = np.zeros(len(words) + 1, dtype=np.int64)
+        np.cumsum([len(b) for b in encoded], out=self.offsets[1:])
+        self.table = np.empty(1 << (2 * len(words) - 1).bit_length(), dtype=np.int32)
+        self.struct = Index(
+            blob=self.blob.ctypes.data,
+            offsets=self.offsets.ctypes.data,
+            table=self.table.ctypes.data,
+            n_words=len(words),
+            mask=self.table.size - 1,
+        )
+        self._lib.cbos_index_build(ctypes.byref(self.struct))
+        self._ids = np.empty(0, dtype=np.int32)
+        self._sentences = np.empty(0, dtype=np.int64)
+
+    def encode(self, block: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """Token ids (-1 out of vocabulary) and sentence offsets of one block of text.
+
+        The same arrays as :func:`cbos.trainer.encode_chunk`: lines split on
+        ``\\n``, tokens as ``str.split()`` splits them, and blank lines make
+        no sentence. They are views of buffers that the next call reuses.
+        Invalid UTF-8 raises the decoder's own :class:`UnicodeDecodeError`.
+        """
+        room = len(block) // 2 + 1  # every token but the last ends at a separator byte
+        if self._ids.size < room:
+            self._ids = np.empty(room, dtype=np.int32)
+            self._sentences = np.empty(room + 1, dtype=np.int64)
+        n = self._lib.cbos_encode_block(
+            ctypes.byref(self.struct), block, len(block), self._ids.ctypes.data, self._sentences.ctypes.data
+        )
+        if n < 0:
+            block.decode("utf-8")  # raises the decoder's error for byte -n - 1
+            raise AssertionError(f"the kernel rejected byte {-n - 1} of valid UTF-8")
+        return self._ids[: self._sentences[n]], self._sentences[: n + 1]
+
+
 # -- build and load --------------------------------------------------------
 
 
@@ -639,6 +832,12 @@ def load() -> ctypes.CDLL:
     lib.cbos_train_chunk.restype = ctypes.c_int64
     lib.cbos_release.argtypes = [ctypes.POINTER(Job)]
     lib.cbos_release.restype = None
+    lib.cbos_index_build.argtypes = [ctypes.POINTER(Index)]
+    lib.cbos_index_build.restype = None
+    lib.cbos_encode_block.argtypes = [
+        ctypes.POINTER(Index), ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p
+    ]
+    lib.cbos_encode_block.restype = ctypes.c_int64
     lib.cbos_rng_draws.argtypes = [ctypes.c_uint64] + [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 2
     lib.cbos_rng_draws.restype = None
     return lib

@@ -15,10 +15,12 @@ through the one :func:`cbos.model.ns_update` primitive.
 
 :func:`train` runs every schedule in the compiled kernel of
 :mod:`cbos.kernel`: each worker streams its byte slice of the corpus in
-blocks of about ``CHUNK_BYTES``, encodes a block to vocabulary ids in
-Python, and trains on it in one kernel call. :class:`Trainer` (``step``,
-``prepare_sentence``, ``train_sentence``, ``draw_negatives``) is the Python
-reference the tests compare the kernel against; ``train`` never calls it.
+blocks of about ``CHUNK_BYTES``, and the kernel turns each raw block into
+vocabulary ids (through a :class:`cbos.kernel.VocabIndex` built once before
+the workers start) and trains on it; Python only reads the blocks.
+:class:`Trainer` (``step``, ``prepare_sentence``, ``train_sentence``,
+``draw_negatives``) and :func:`encode_chunk` are the Python references the
+tests compare the kernel against; ``train`` never calls them.
 Both draw from :class:`cbos.kernel.CounterRng` streams, one each for
 windows, negatives, subsampling and bag-rule choices, so at ``workers=1``
 they make the same predictions in the same order.
@@ -48,12 +50,7 @@ from typing import Callable, IO, Iterator
 import numpy as np
 
 from . import kernel
-from .corpus import (
-    NEGATIVE_TABLE_SIZE,
-    Vocab,
-    build_negative_table,
-    build_vocab_from_file,
-)
+from .corpus import Vocab, build_negative_table, build_vocab_from_file
 from .model import (
     SIGMOID_CLAMP,
     EmbeddingModel,
@@ -304,9 +301,7 @@ class Trainer:
         self._discard = vocab.discard_probs
         self._subsample_active = bool((self._discard > 0).any())
         if vocab.negative_table is None:
-            build_negative_table(
-                vocab, table_size=max(NEGATIVE_TABLE_SIZE, len(vocab))
-            )
+            build_negative_table(vocab)
         self._table = vocab.negative_table
         self.loss_sum = 0.0
         self.n_updates = 0
@@ -481,10 +476,10 @@ def iter_slice_sentences(
 
 
 def encode_chunk(block: bytes, word2id: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's input for one block: token ids (-1 out of vocabulary) and sentence offsets.
+    """Token ids (-1 out of vocabulary) and sentence offsets of one block, in Python.
 
     Sentence ``s`` is ``ids[offsets[s]:offsets[s + 1]]``; blank lines make
-    no sentence.
+    no sentence. The reference for the kernel's :meth:`cbos.kernel.VocabIndex.encode`.
     """
     get = word2id.get
     ids: list[int] = []
@@ -609,6 +604,7 @@ def _kernel_job(
 
 def _run_worker(
     job: kernel.ChunkTrainer,
+    index: kernel.VocabIndex,
     config: TrainConfig,
     path: str,
     vocab: Vocab,
@@ -625,7 +621,7 @@ def _run_worker(
         on_events = functools.partial(_emit_events, sink=trace, variant=config.variant)
     for _epoch in range(config.epochs):
         for block in iter_slice_chunks(path, worker_id, config.workers):
-            job.train_chunk(*encode_chunk(block, vocab.word2id), on_events)
+            job.train_chunk(*index.encode(block), on_events)
             if progress_out is not None:
                 now = time.monotonic()
                 if now - last_print >= 0.5:
@@ -679,12 +675,13 @@ def train(
         vocab = build_vocab_from_file(corpus_path, config.min_count)
     vocab.set_discard_probs(config.t)
     if vocab.negative_table is None:
-        build_negative_table(vocab, table_size=max(NEGATIVE_TABLE_SIZE, len(vocab)))
+        build_negative_table(vocab)
     subwords = build_subword_cache(vocab, config.subword_config())
     row_off = np.zeros(len(subwords) + 1, dtype=np.int64)
     np.cumsum([ids.size for ids in subwords], out=row_off[1:])
     rows = (row_off, np.concatenate(subwords).astype(np.int32))
-    kernel.load()  # build or load it now: outside the timed passes, once for all forks
+    # Also loads (or builds) the kernel: outside the timed passes, once for all forks.
+    index = kernel.VocabIndex(vocab.words)
 
     n_rows = len(vocab) + config.bucket_rows
     shared = config.workers > 1
@@ -714,6 +711,7 @@ def train(
         try:
             _run_worker(
                 job,
+                index,
                 config,
                 corpus_path,
                 vocab,
@@ -735,7 +733,7 @@ def train(
                 try:
                     job = _kernel_job(config, model, vocab, rows, slots, worker_id, False)
                     _run_worker(
-                        job, config, corpus_path, vocab, worker_id, slots, None, None, t0
+                        job, index, config, corpus_path, vocab, worker_id, slots, None, None, t0
                     )
                 except BaseException as exc:
                     text = f"{type(exc).__name__}: {exc}".encode()[:_ERROR_BYTES]

@@ -164,6 +164,15 @@ def test_train_missing_corpus_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_corrupt_corpus_is_runtime_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"ash oak elm\nfir \xff yew\n")
+    assert run(train_args(str(corpus), str(tmp_path / "m"))) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "error: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte" in err
+    assert not (tmp_path / "m.cbos").exists()
+
+
 def test_train_trace_writes_ndjson(tmp_path):
     corpus = write_corpus(tmp_path, n_lines=5)
     trace = tmp_path / "events.ndjson"

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import cbos.corpus as corpus_module
 from cbos.corpus import (
+    NEGATIVE_TABLE_SIZE,
     EmptyVocabError,
     Vocab,
     build_negative_table,
@@ -162,6 +164,13 @@ def test_negative_table_equal_counts():
 def test_negative_table_rejects_undersized_table(tiny_vocab):
     with pytest.raises(ValueError):
         build_negative_table(tiny_vocab, table_size=len(tiny_vocab) - 1)
+
+
+def test_negative_table_default_size(tiny_vocab, monkeypatch):
+    assert build_negative_table(tiny_vocab).size == NEGATIVE_TABLE_SIZE
+    # a vocabulary larger than the default size gets one slot per word
+    monkeypatch.setattr(corpus_module, "NEGATIVE_TABLE_SIZE", 4)
+    assert build_negative_table(tiny_vocab).size == len(tiny_vocab)
 
 
 def test_negative_table_rejects_bad_power(tiny_vocab):

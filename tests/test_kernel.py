@@ -1,5 +1,9 @@
+import ctypes
+import functools
+import itertools
 import os
 import re
+import string
 import subprocess
 import sys
 
@@ -10,13 +14,14 @@ from hypothesis import strategies as st
 
 import cbos.trainer as trainer_module
 from cbos import kernel
-from cbos.corpus import build_vocab_from_file
+from cbos.corpus import build_vocab, build_vocab_from_file
 from cbos.model import init_model
 from cbos.persist import save_bin
 from cbos.trainer import (
     CBOS_VARIANTS,
     TrainConfig,
     Trainer,
+    encode_chunk,
     iter_slice_sentences,
     lr_schedule,
     train,
@@ -64,6 +69,166 @@ def test_counter_rng_streams_differ_and_bounds_match_numpy_surface():
     assert all(0.0 <= x < 1.0 for x in rng.random(50))
     with pytest.raises(ValueError):
         rng.integers(4, 4)
+
+
+# -- block encoder against encode_chunk -----------------------------------
+
+# Every character str.split() splits on, except the newline that ends a sentence.
+SEPARATORS = (
+    "\t\v\f\r \x1c\x1d\x1e\x1f\x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+# Characters next to those in the code charts that str.split() keeps inside a token.
+NEAR_SEPARATORS = (
+    "\x08\x0e\x1b\x84\x86\x9f\xa1\u167f\u1681\u180e\u200b\u2027\u202a\u205e\u2060\u2fff\u3001\ufeff"
+)
+WORDS = ["the", "cat", "a", "sat", "café", "naïve", "日本語", "𝔘𝔫𝔦", "nul\x00byte", "ŝ"]
+
+
+@functools.cache
+def parity_index():
+    return kernel.VocabIndex(WORDS), {w: i for i, w in enumerate(WORDS)}
+
+
+def raw_encode(index, block):
+    """cbos_encode_block's return value: the sentence count, or -(1 + offset) of a bad byte."""
+    ids = np.empty(len(block) // 2 + 1, dtype=np.int32)
+    offsets = np.empty(ids.size + 1, dtype=np.int64)
+    return kernel.load().cbos_encode_block(
+        ctypes.byref(index.struct), block, len(block), ids.ctypes.data, offsets.ctypes.data
+    )
+
+
+def assert_encodes_like_encode_chunk(index, word2id, block):
+    ids, offsets = index.encode(block)
+    want_ids, want_offsets = encode_chunk(block, word2id)
+    assert ids.dtype == want_ids.dtype and offsets.dtype == want_offsets.dtype
+    assert ids.tolist() == want_ids.tolist()
+    assert offsets.tolist() == want_offsets.tolist()
+
+
+def test_separators_are_exactly_str_split_whitespace():
+    spaces = {chr(c) for c in range(0x110000) if chr(c).isspace()}
+    assert spaces == set(SEPARATORS) | {"\n"}
+    assert not spaces & set(NEAR_SEPARATORS)
+    assert all(("a" + c + "b").split() == ["a", "b"] for c in spaces)
+
+
+non_ascii = st.one_of(
+    st.characters(min_codepoint=0x80, max_codepoint=0x7FF),  # 2 bytes
+    st.characters(min_codepoint=0x800, max_codepoint=0xFFFF, exclude_categories=("Cs",)),
+    st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),  # 4 bytes
+)
+vocab_word = st.sampled_from(WORDS)
+text_piece = st.one_of(
+    st.text(string.ascii_letters + string.digits + "'-\x00\x7f", min_size=1, max_size=6),
+    vocab_word,
+    vocab_word.flatmap(  # prefixes and extensions of vocabulary words
+        lambda w: st.sampled_from([w[:-1], w[1:], w + "s", w + "é", w + w[-1], "x" + w])
+    ),
+    st.sampled_from(list(SEPARATORS) + ["\n", "\r\n", "\n\n", " \t\n", "\u3000\n"]),
+    st.sampled_from(NEAR_SEPARATORS),
+    st.text(non_ascii, min_size=1, max_size=4),
+)
+corpus_text = st.lists(text_piece, max_size=40).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=corpus_text)
+def test_encoder_matches_encode_chunk(text):
+    assert_encodes_like_encode_chunk(*parity_index(), text.encode("utf-8"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.lists(
+        st.one_of(
+            st.binary(min_size=1, max_size=3),
+            st.sampled_from([bytes([b]) for b in b"\x80\x8f\x90\x9f\xa0\xbf\xc0\xc2\xe0\xed\xf0\xf4\xf5"]),
+            text_piece.map(lambda t: t.encode("utf-8")),
+        ),
+        max_size=20,
+    ).map(b"".join)
+)
+def test_encoder_matches_encode_chunk_on_arbitrary_bytes(data):
+    index, word2id = parity_index()
+    try:
+        encode_chunk(data, word2id)
+    except UnicodeDecodeError as exc:
+        assert raw_encode(index, data) == -(1 + exc.start)
+        with pytest.raises(UnicodeDecodeError):
+            index.encode(data)
+    else:
+        assert_encodes_like_encode_chunk(index, word2id, data)
+
+
+def fnv1a64(data: bytes) -> int:
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h
+
+
+def test_colliding_words_take_the_probe_path():
+    # Four words fill an 8-slot table, and every word below hashes to slot 5,
+    # so each lookup (out-of-vocabulary ones too) walks the probe chain.
+    same_slot = (w for w in map("w{}".format, itertools.count()) if fnv1a64(w.encode()) % 8 == 5)
+    colliding = list(itertools.islice(same_slot, 7))
+    words, strangers = colliding[:4], colliding[4:]
+    index = kernel.VocabIndex(words)
+    assert index.table.tolist() == [3, -1, -1, -1, -1, 0, 1, 2]  # the last one wrapped around
+    word2id = {w: i for i, w in enumerate(words)}
+    text = " ".join(words[::-1] + strangers + [w + "x" for w in words] + [w[:-1] for w in words])
+    assert_encodes_like_encode_chunk(index, word2id, f"{text}\n{text}".encode())
+    ids, _ = index.encode(text.encode())
+    assert ids.tolist()[:7] == [3, 2, 1, 0, -1, -1, -1]
+
+
+def test_index_capacity_and_repeated_words():
+    for n in (1, 2, 3, 4, 5, 100):
+        size = kernel.VocabIndex([f"v{i}" for i in range(n)]).table.size
+        assert size & (size - 1) == 0 and 2 * n <= size < 4 * n
+    # a repeated word maps to its last id, as in a dict
+    index = kernel.VocabIndex(["a", "b", "a"])
+    assert_encodes_like_encode_chunk(index, {"a": 2, "b": 1}, b"a b c a")
+
+
+INVALID_UTF8 = {
+    "stray continuation byte": b"ok \x80 tail",
+    "invalid start byte": b"word \xff\n",
+    "overlong 2-byte form": b"a \xc0\xaf b",
+    "overlong 3-byte form": b"a\n\xe0\x80\xaf",
+    "overlong 4-byte form": b"\xf0\x80\x80\xaf",
+    "surrogate": "café ".encode() + b"\xed\xa0\x80",
+    "above U+10FFFF": b"x \xf4\x90\x80\x80 y",
+    "lead byte above F4": b"\xf5\x80\x80\x80",
+    "truncated at the end": b"text \xe2\x82",
+    "truncated before ASCII": b"\xe2\x82x\n",
+    "truncated 4-byte form before a newline": b"ok\n\xf0\x9f\x98\n",
+    "truncated after multi-byte text": "日本 \u3000".encode() + b"\xc3",
+}
+
+
+@pytest.mark.parametrize("block", INVALID_UTF8.values(), ids=INVALID_UTF8.keys())
+def test_invalid_utf8_raises_like_the_decoder(block):
+    index, word2id = parity_index()
+    with pytest.raises(UnicodeDecodeError) as want:
+        encode_chunk(block, word2id)
+    with pytest.raises(UnicodeDecodeError) as got:
+        index.encode(block)
+    assert got.value.start == want.value.start
+    assert raw_encode(index, block) == -(1 + want.value.start)
+
+
+def test_train_with_a_prebuilt_vocabulary_rejects_invalid_utf8(tmp_path):
+    # The vocabulary build never reads this corpus, so the kernel's encoder meets the bad byte.
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"alpha beta\nbeta \xff alpha\n")
+    config = TrainConfig(dim=4, ws=2, epochs=1, minn=0, maxn=0, bucket=0, min_count=1, seed=1)
+    with pytest.raises(UnicodeDecodeError) as info:
+        train(config, str(path), vocab=build_vocab(["alpha", "beta", "beta"]))
+    assert info.value.start == 16
 
 
 # -- build -----------------------------------------------------------------

@@ -628,11 +628,11 @@ def test_train_multi_worker_updates_shared_model(tmp_path):
         assert not (result.model.output_matrix == 0).all()
 
 
-def raise_in_worker(block, word2id):
+def raise_in_worker(path, worker_id, n_workers):
     raise ValueError("no such token table")
 
 
-def kill_worker(block, word2id):
+def kill_worker(path, worker_id, n_workers):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -644,7 +644,7 @@ def kill_worker(block, word2id):
     ],
 )
 def test_worker_failure_reaches_parent(tmp_path, monkeypatch, broken, expected):
-    monkeypatch.setattr(trainer_module, "encode_chunk", broken)  # forked workers inherit it
+    monkeypatch.setattr(trainer_module, "iter_slice_chunks", broken)  # forked workers inherit it
     path = small_corpus(tmp_path)
     with pytest.raises(RuntimeError) as info:
         train(quick_config(workers=2), path)
