@@ -6,6 +6,12 @@ a category, every other non-blank line holds four words ``a b c d`` asking
 similarity between candidate vectors and ``norm(b) - norm(a) + norm(c)``,
 never returning a, b, or c themselves. Categories aggregate into semantic,
 syntactic, and total accuracy.
+
+Everything here is numpy only (no compiled kernel). :class:`VectorSpace`
+builds the unit vectors of the whole vocabulary once from
+:func:`cbos.model.composed_word_matrix`; :func:`nearest_neighbors` sorts
+only the words that reach the k-th best score, which gives the same list,
+ties to the lower id, as sorting the whole vocabulary.
 """
 
 from __future__ import annotations
@@ -375,6 +381,8 @@ def nearest_neighbors(
 
     The query word itself is excluded when in vocab; ties order by lower
     vocab id. Fewer than k pairs come back when the vocabulary is small.
+    Only the words scoring at or above the k-th largest score are sorted,
+    which gives the same list as a stable sort of the whole vocabulary.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -389,5 +397,8 @@ def nearest_neighbors(
     own_id = vocab.id_of(word)
     if own_id is not None:
         scores[own_id] = -np.inf
-    order = np.argsort(-scores, kind="stable")[:k]
+    candidates = np.arange(scores.size)
+    if k < scores.size:  # only scores at or above the k-th largest can be in the top k
+        candidates = np.flatnonzero(scores >= np.partition(scores, scores.size - k)[scores.size - k])
+    order = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
     return [(vocab.words[i], float(scores[i])) for i in order if np.isfinite(scores[i])]

@@ -11,16 +11,18 @@ used to draw negative samples.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import unicodedata
 from collections import Counter
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
 SUBSAMPLE_THRESHOLD = 1e-4
 NEGATIVE_TABLE_SIZE = 10_000_000
 NEGATIVE_POWER = 0.75
+READ_BYTES = 1 << 16  # corpus text per decode while counting words
 
 
 class EmptyVocabError(ValueError):
@@ -44,11 +46,57 @@ def normalize_text(text: str) -> str:
     return lowered.translate(table) if table else lowered
 
 
+class CorpusDecodeError(UnicodeDecodeError):
+    """Invalid UTF-8 in a corpus file: ``start`` and ``end`` count bytes from the start of the file.
+
+    ``object`` is the block of the file that was being decoded; it begins at
+    byte ``block_start``.
+    """
+
+    def __init__(self, error: UnicodeDecodeError, block_start: int):
+        super().__init__(
+            error.encoding, error.object, error.start + block_start, error.end + block_start, error.reason
+        )
+        self.block_start = block_start
+
+    def __str__(self) -> str:
+        bad = self.object[self.start - self.block_start : self.end - self.block_start]
+        if len(bad) == 1:
+            where = f"byte 0x{bad[0]:02x} in position {self.start}"
+        else:
+            where = f"bytes in position {self.start}-{self.end - 1}"
+        return f"'{self.encoding}' codec can't decode {where}: {self.reason}"
+
+
+def iter_line_blocks(handle: BinaryIO, end: int, size: int) -> Iterator[tuple[int, bytes]]:
+    """(file offset, block) pairs of whole lines, read from ``handle``'s position on.
+
+    A block holds about ``size`` bytes, extended to the end of its last
+    line; the last block is the one that reaches ``end``.
+    """
+    pos = handle.tell()
+    while pos < end:
+        block = handle.read(min(size, end - pos))
+        if not block:
+            break
+        if not block.endswith(b"\n"):
+            block += handle.readline()
+        yield pos, block
+        pos = handle.tell()
+
+
 def iter_file_tokens(path: str) -> Iterator[str]:
-    """Stream every token of a one-sentence-per-line UTF-8 text file."""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            yield from line.split()
+    """Stream every token of a one-sentence-per-line UTF-8 text file, split as ``str.split()`` splits.
+
+    Invalid UTF-8 raises :class:`CorpusDecodeError` at its offset in the file.
+    """
+    with open(path, "rb") as handle:
+        for block_start, block in iter_line_blocks(handle, os.fstat(handle.fileno()).st_size, READ_BYTES):
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusDecodeError(exc, block_start) from None
+            yield from text.split()
 
 
 class Vocab:

@@ -13,6 +13,10 @@ tables).
 Training runs this step in the compiled kernel of :mod:`cbos.kernel`;
 :func:`compute_hidden` and :func:`ns_update` are its reference, which the
 tests compare it against.
+
+At query time :func:`composed_word_matrix` averages every word's rows in
+numpy, one row per word per step, so each vector is bit-identical to the
+``mean`` of that word's rows alone.
 """
 
 from __future__ import annotations
@@ -137,6 +141,11 @@ def composed_word_matrix(model: EmbeddingModel, vocab: Vocab) -> np.ndarray:
 
     With n-grams disabled this is just the first ``V`` input rows. The result
     is always a fresh array, safe to normalize or mutate.
+
+    Row ``w`` equals ``input_matrix[cache[w]].mean(axis=0)`` bit for bit: the
+    sum starts from every word's first row and adds its ``j``-th row at step
+    ``j``, which is the order numpy's reduction adds them in, and gathers
+    only one row per word at a time.
     """
     if len(vocab) != model.vocab_size:
         raise ValueError(
@@ -146,9 +155,17 @@ def composed_word_matrix(model: EmbeddingModel, vocab: Vocab) -> np.ndarray:
     if not config.enabled:
         return model.input_matrix[: len(vocab)].copy()
     cache = build_subword_cache(vocab, config)
-    out = np.empty((len(vocab), model.dim), dtype=model.dtype)
-    for i, ids in enumerate(cache):
-        out[i] = model.input_matrix[ids].mean(axis=0)
+    counts = np.diff(cache.offsets)
+    order = np.argsort(-counts, kind="stable")  # most rows first: the words still adding are a prefix
+    starts = cache.offsets[:-1][order]
+    acc = model.input_matrix[cache.ids[starts]]
+    live = len(vocab) - np.cumsum(np.bincount(counts))  # live[j]: words with more than j rows
+    for j in range(1, counts.max()):
+        m = live[j]
+        acc[:m] += model.input_matrix[cache.ids[starts[:m] + j]]
+    acc /= counts[order, np.newaxis]
+    out = np.empty_like(acc)
+    out[order] = acc
     return out
 
 

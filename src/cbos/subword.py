@@ -6,12 +6,20 @@ placed after the vocabulary rows. A word's input representation is then the
 set of rows ``{word_id} ∪ {V + hash(g) for each n-gram g}``, which also lets
 out-of-vocabulary words be composed from n-grams alone at query time.
 
+:func:`build_subword_cache` hashes the n-grams of the whole vocabulary at
+once, in numpy: one lane per (word, start character) walks the UTF-8 bytes
+of ``<word>``, and each step applies one 32-bit FNV-1a update to every live
+lane. Its result is CSR (offsets, ids), the form the training kernel reads;
+:func:`subword_ids` resolves one word the same way. :func:`extract_ngrams`
+and :func:`fnv1a_32` stay as the scalar reference the tests compare with.
+
 Setting ``minn = maxn = 0`` disables n-grams entirely (pure-word training).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +30,7 @@ EOW = ">"
 
 _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
+HASH_BATCH = 1 << 14  # words per vectorised hashing pass
 
 
 @dataclass(frozen=True)
@@ -112,6 +121,75 @@ def hash_ngram(ngram: str, bucket: int) -> int:
     return fnv1a_32(ngram.encode("utf-8")) % bucket
 
 
+def _ngram_hashes(words: Sequence[str], minn: int, maxn: int) -> tuple[np.ndarray, np.ndarray]:
+    """FNV-1a hashes of every word's n-grams as CSR: word ``i``'s are ``hashes[offsets[i]:offsets[i + 1]]``.
+
+    Each word's hashes follow :func:`extract_ngrams` order and equal
+    ``fnv1a_32(g.encode())`` for each of its n-grams ``g``. A lane starts at
+    every character of ``<word>`` that begins an n-gram and walks the bytes
+    of that start's longest n-gram, emitting its hash each time it completes
+    its n-th character with ``n >= minn``. Lanes are sorted by the bytes they
+    walk, longest first, so the lanes live at each step are a prefix.
+    """
+    data = np.frombuffer(b"".join((BOW + w + EOW).encode("utf-8") for w in words if w), dtype=np.uint8)
+    # a byte begins a character unless it is a continuation byte; the end counts as a start
+    begins = np.ones(data.size + 1, dtype=bool)
+    begins[:-1] = (data & 0xC0) != 0x80
+    char_pos = np.flatnonzero(begins)  # byte offset of every character, then of the end
+    length = np.array([len(w) + 2 if w else 0 for w in words], dtype=np.int64)  # characters of <w>
+    char_off = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum(length, out=char_off[1:])
+
+    lanes = np.maximum(length - minn + 1, 0)  # start characters 0 .. length - minn
+    lane_off = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum(lanes, out=lane_off[1:])
+    word = np.repeat(np.arange(len(words)), lanes)
+    start = np.arange(lane_off[-1]) - lane_off[word]
+    lim = np.minimum(maxn, length[word] - start)  # characters of the lane's longest n-gram
+    lim -= (start == 0) & (length[word] <= maxn)  # the whole <word> is not an n-gram
+    out_off = np.zeros(word.size + 1, dtype=np.int64)
+    np.cumsum(np.maximum(lim - minn + 1, 0), out=out_off[1:])
+    hashes = np.empty(out_off[-1] + 1, dtype=np.uint32)  # the last slot takes non-emitting lanes
+    dump = out_off[-1]
+
+    first = char_off[word] + start
+    span = char_pos[first + lim] - char_pos[first]  # bytes the lane walks
+    order = np.argsort(-span)
+    span = span[order]
+    live = np.searchsorted(-span, -np.arange(span.max(initial=0)))  # live[t]: lanes walking > t bytes
+    pos = char_pos[first[order]]
+    slot = out_off[order] - minn  # the n-gram of n characters goes to hashes[slot + n]
+    done = np.zeros(pos.size, dtype=np.int64)
+    h = np.full(pos.size, _FNV_OFFSET, dtype=np.uint32)
+    xor = data.view(np.int8).astype(np.int32).view(np.uint32)  # bytes >= 0x80 sign-extended
+    prime = np.uint32(_FNV_PRIME)
+    for m in live.tolist():
+        p, hm, n = pos[:m], h[:m], done[:m]
+        hm ^= xor[p]
+        hm *= prime
+        p += 1
+        ended = begins[p]  # the lane just completed a character
+        n += ended
+        hashes[np.where(ended & (n >= minn), slot[:m] + n, dump)] = hm
+    return out_off[lane_off], hashes[:-1]
+
+
+def _ngram_rows(words: Sequence[str], n_vocab: int, config: SubwordConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every word's n-gram rows ``n_vocab + hash % bucket`` as CSR, int64 (none when disabled).
+
+    Words are hashed ``HASH_BATCH`` at a time, which bounds the hasher's
+    per-lane temporaries whatever the vocabulary size.
+    """
+    if not config.enabled:
+        return np.zeros(len(words) + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    offsets, rows = [np.zeros(1, dtype=np.int64)], []
+    for i in range(0, max(len(words), 1), HASH_BATCH):
+        batch_off, hashes = _ngram_hashes(words[i : i + HASH_BATCH], config.minn, config.maxn)
+        offsets.append(batch_off[1:] + offsets[-1][-1])
+        rows.append(hashes.astype(np.int64) % config.bucket + n_vocab)
+    return np.concatenate(offsets), np.concatenate(rows)
+
+
 def subword_ids(word: str, vocab: Vocab, config: SubwordConfig) -> SubwordIds:
     """Resolve a word to its input-matrix rows under ``config``.
 
@@ -119,23 +197,40 @@ def subword_ids(word: str, vocab: Vocab, config: SubwordConfig) -> SubwordIds:
     out-of-vocabulary words contribute n-gram rows only (an empty id set if
     the word is too short to produce any n-gram).
     """
-    word_id = vocab.id_of(word)
-    if config.enabled:
-        offset = len(vocab)
-        grams = extract_ngrams(word, config.minn, config.maxn)
-        ngram_ids = np.array(
-            [offset + hash_ngram(g, config.bucket) for g in grams], dtype=np.int64
-        )
-    else:
-        ngram_ids = np.empty(0, dtype=np.int64)
-    return SubwordIds(word_id, ngram_ids)
+    _, grams = _ngram_rows([word], len(vocab), config)
+    return SubwordIds(vocab.id_of(word), grams)
 
 
-def build_subword_cache(vocab: Vocab, config: SubwordConfig) -> list[np.ndarray]:
-    """Precompute the full input-row id array for every vocabulary word.
+@dataclass(frozen=True)
+class SubwordCache:
+    """Input rows of every vocabulary word as CSR, both arrays int64.
 
-    Index ``w`` of the result holds the rows averaged whenever word ``w``
-    appears in an input bag; computing these once keeps the hot training
-    loop free of string work.
+    A sequence of per-word id arrays: ``cache[w]`` is the view
+    ``ids[offsets[w]:offsets[w + 1]]``, the rows averaged whenever word
+    ``w`` appears in an input bag.
     """
-    return [subword_ids(w, vocab, config).ids for w in vocab.words]
+
+    offsets: np.ndarray
+    ids: np.ndarray
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, word_id: int) -> np.ndarray:
+        return self.ids[self.offsets[word_id] : self.offsets[word_id + 1]]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return (self[w] for w in range(len(self)))
+
+
+def build_subword_cache(vocab: Vocab, config: SubwordConfig) -> SubwordCache:
+    """Precompute the input rows of every vocabulary word: its id, then its n-gram rows.
+
+    The n-gram rows are ``V + hash_ngram(g, bucket)`` for each n-gram ``g``
+    in :func:`extract_ngrams` order, hashed for every word at once.
+    Computing these once keeps the hot training loop free of string work.
+    """
+    gram_off, grams = _ngram_rows(vocab.words, len(vocab), config)
+    word_ids = [vocab.word2id[w] for w in vocab.words]  # a repeated word takes its last id
+    offsets = gram_off + np.arange(len(vocab) + 1)
+    return SubwordCache(offsets, np.insert(grams, gram_off[:-1], word_ids))

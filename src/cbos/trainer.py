@@ -50,7 +50,13 @@ from typing import Callable, IO, Iterator
 import numpy as np
 
 from . import kernel
-from .corpus import Vocab, build_negative_table, build_vocab_from_file
+from .corpus import (
+    CorpusDecodeError,
+    Vocab,
+    build_negative_table,
+    build_vocab_from_file,
+    iter_line_blocks,
+)
 from .model import (
     SIGMOID_CLAMP,
     EmbeddingModel,
@@ -58,7 +64,7 @@ from .model import (
     initialize_matrices,
     ns_update,
 )
-from .subword import SubwordConfig, build_subword_cache
+from .subword import SubwordCache, SubwordConfig, build_subword_cache
 
 MODEL_KINDS = ("cbow", "skipgram", "cbos")
 CBOS_VARIANTS = (
@@ -280,7 +286,7 @@ class Trainer:
         config: TrainConfig,
         rng=None,
         trace: TraceSink | None = None,
-        subwords: list[np.ndarray] | None = None,
+        subwords: SubwordCache | None = None,
     ):
         self.model = model
         self.vocab = vocab
@@ -434,8 +440,8 @@ class Trainer:
 # -- corpus slicing and encoding ------------------------------------------
 
 
-def iter_slice_chunks(path: str, worker_id: int, n_workers: int) -> Iterator[bytes]:
-    """Blocks of whole lines, together every line starting inside this worker's byte range.
+def iter_slice_chunks(path: str, worker_id: int, n_workers: int) -> Iterator[tuple[int, bytes]]:
+    """(file offset, block) pairs of whole lines, together every line starting inside this worker's byte range.
 
     The file is split into ``n_workers`` equal byte ranges; a worker whose
     range starts mid-line skips forward to the next newline, so every line
@@ -449,15 +455,7 @@ def iter_slice_chunks(path: str, worker_id: int, n_workers: int) -> Iterator[byt
         if start > 0:
             handle.seek(start - 1)
             handle.readline()
-        pos = handle.tell()
-        while pos < end:
-            block = handle.read(min(CHUNK_BYTES, end - pos))
-            if not block:
-                break
-            if not block.endswith(b"\n"):
-                block += handle.readline()
-            yield block
-            pos = handle.tell()
+        yield from iter_line_blocks(handle, end, CHUNK_BYTES)
 
 
 def _sentences(block: bytes) -> Iterator[list[str]]:
@@ -471,7 +469,7 @@ def iter_slice_sentences(
     path: str, worker_id: int, n_workers: int
 ) -> Iterator[list[str]]:
     """Token lists of every non-blank line starting inside this worker's byte range."""
-    for block in iter_slice_chunks(path, worker_id, n_workers):
+    for _, block in iter_slice_chunks(path, worker_id, n_workers):
         yield from _sentences(block)
 
 
@@ -620,8 +618,12 @@ def _run_worker(
     if trace is not None:
         on_events = functools.partial(_emit_events, sink=trace, variant=config.variant)
     for _epoch in range(config.epochs):
-        for block in iter_slice_chunks(path, worker_id, config.workers):
-            job.train_chunk(*index.encode(block), on_events)
+        for block_start, block in iter_slice_chunks(path, worker_id, config.workers):
+            try:
+                encoded = index.encode(block)
+            except UnicodeDecodeError as exc:
+                raise CorpusDecodeError(exc, block_start) from None
+            job.train_chunk(*encoded, on_events)
             if progress_out is not None:
                 now = time.monotonic()
                 if now - last_print >= 0.5:
@@ -677,9 +679,7 @@ def train(
     if vocab.negative_table is None:
         build_negative_table(vocab)
     subwords = build_subword_cache(vocab, config.subword_config())
-    row_off = np.zeros(len(subwords) + 1, dtype=np.int64)
-    np.cumsum([ids.size for ids in subwords], out=row_off[1:])
-    rows = (row_off, np.concatenate(subwords).astype(np.int32))
+    rows = (subwords.offsets, subwords.ids.astype(np.int32))
     # Also loads (or builds) the kernel: outside the timed passes, once for all forks.
     index = kernel.VocabIndex(vocab.words)
 

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbos.analogy import (
+    NORM_EPSILON,
     AnalogyParseError,
     AnalogyQuestion,
     AnalogyReport,
@@ -475,3 +478,58 @@ def test_nearest_neighbors_subword_query_for_oov():
     model = init_model(2, 50, 4, seed=0, minn=2, maxn=3)
     result = nearest_neighbors(model, vocab, "green", 2)
     assert len(result) == 2  # composed query still ranks the whole vocab
+
+
+def full_sort_neighbors(model, vocab, word, k):
+    """The neighbour list from a stable sort of every vocabulary score."""
+    space = VectorSpace(model, vocab)
+    vec = word_vector(model, vocab, word).astype(np.float64)
+    if np.linalg.norm(vec) < NORM_EPSILON:
+        raise DegenerateVectorError(word)
+    scores = space.unit @ (vec / np.linalg.norm(vec))
+    scores[space.degenerate] = -np.inf
+    if word in vocab:
+        scores[vocab.id_of(word)] = -np.inf
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [(vocab.words[i], float(scores[i])) for i in order if np.isfinite(scores[i])]
+
+
+TIED_ROWS = [[1, 0], [2, 0], [0, 0], [1, 0], [0, 1], [3, 0], [0, 0], [0, 2], [1, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 9, 10, 25])
+@pytest.mark.parametrize("word", ["w0", "w1", "w4", "w8", "w9"])
+def test_nearest_neighbors_top_k_equals_a_full_stable_sort(word, k):
+    # duplicate directions tie exactly; w2 and w6 are degenerate; k >= 9 asks
+    # for more words than there are candidates
+    vocab = vocab_of([f"w{i}" for i in range(len(TIED_ROWS))])
+    model = model_from_rows(TIED_ROWS)
+    result = nearest_neighbors(model, vocab, word, k)
+    assert result == full_sort_neighbors(model, vocab, word, k)
+    assert word not in [w for w, _ in result]
+    assert len(result) == min(k, 7)  # 10 words less the query and the two degenerate rows
+    if word == "w0" and k >= 4:  # the three other words along x tie at cosine 1, lowest id first
+        assert [w for w, _ in result[:4]] == ["w1", "w3", "w5", "w9"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nearest_neighbors_top_k_equals_a_full_stable_sort_on_random_models(data):
+    # small integer rows give ties and zero rows; a bucket of 1-3 rows gives
+    # out-of-vocabulary queries a vector, and makes equal-length words tie
+    n = data.draw(st.integers(2, 12))
+    bucket = data.draw(st.sampled_from([0, 1, 3]))
+    dim = data.draw(st.integers(1, 3))
+    cells = data.draw(st.lists(st.integers(-1, 1), min_size=(n + bucket) * dim, max_size=(n + bucket) * dim))
+    rows = np.array(cells, dtype=np.float32).reshape(n + bucket, dim)
+    model = model_from_rows(rows, *((1, 2) if bucket else (0, 0)), bucket)
+    vocab = vocab_of([f"w{i}" for i in range(n)])
+    word = data.draw(st.sampled_from(vocab.words + ["oov"]))
+    k = data.draw(st.integers(1, n + 1))
+    try:
+        expected = full_sort_neighbors(model, vocab, word, k)
+    except (DegenerateVectorError, UnresolvableWordError) as exc:
+        with pytest.raises(type(exc)):
+            nearest_neighbors(model, vocab, word, k)
+    else:
+        assert nearest_neighbors(model, vocab, word, k) == expected

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 
+import cbos.corpus as corpus_module
+import cbos.trainer as trainer_module
 from cbos.analogy import evaluate, load_analogy_file
 from cbos.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
 from cbos.corpus import build_vocab, build_vocab_from_file, normalize_text
@@ -170,6 +172,16 @@ def test_train_corrupt_corpus_is_runtime_error(tmp_path, capsys):
     assert run(train_args(str(corpus), str(tmp_path / "m"))) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert "error: 'utf-8' codec can't decode byte 0xff in position 16: invalid start byte" in err
+    assert not (tmp_path / "m.cbos").exists()
+
+
+def test_train_corrupt_corpus_error_names_the_file_offset(corrupt_corpus, tmp_path, capsys, monkeypatch):
+    path, offset = corrupt_corpus
+    monkeypatch.setattr(corpus_module, "READ_BYTES", 4096)
+    monkeypatch.setattr(trainer_module, "CHUNK_BYTES", 4096)
+    assert run(train_args(path, str(tmp_path / "m"))) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"error: 'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte" in err
     assert not (tmp_path / "m.cbos").exists()
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import cbos.corpus as corpus_module
 from cbos.corpus import (
     NEGATIVE_TABLE_SIZE,
+    CorpusDecodeError,
     EmptyVocabError,
     Vocab,
     build_negative_table,
@@ -201,3 +202,46 @@ def test_word_lookup(tiny_vocab):
     assert "cat" in tiny_vocab
     assert tiny_vocab.id_of("nope") is None
     assert tiny_vocab.frequencies().sum() == pytest.approx(1.0)
+
+
+# -- decoding errors -------------------------------------------------------
+
+
+def test_vocab_decode_error_gives_the_file_offset(corrupt_corpus, monkeypatch):
+    path, offset = corrupt_corpus
+    assert offset > 68_000
+    monkeypatch.setattr(corpus_module, "READ_BYTES", 4096)  # the bad byte sits deep in a later block
+    with pytest.raises(CorpusDecodeError) as info:
+        build_vocab_from_file(path)
+    assert (info.value.start, info.value.end) == (offset, offset + 1)
+    assert str(info.value) == f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "data,at_1000",
+    [
+        (b"ab\xffcd", "byte 0xff in position 1002: invalid start byte"),
+        (b"ab\xe2\x82", "bytes in position 1002-1003: unexpected end of data"),
+        (b"\xc3(", "byte 0xc3 in position 1000: invalid continuation byte"),
+        (b"ok \xf0\x9f\x98", "bytes in position 1003-1005: unexpected end of data"),
+    ],
+)
+def test_corpus_decode_error_message_is_the_decoders_at_the_file_offset(data, at_1000):
+    with pytest.raises(UnicodeDecodeError) as plain:
+        data.decode("utf-8")
+    assert str(CorpusDecodeError(plain.value, 0)) == str(plain.value)
+    later = CorpusDecodeError(plain.value, 1000)
+    assert (later.start, later.end) == (plain.value.start + 1000, plain.value.end + 1000)
+    assert later.object == data and later.reason == plain.value.reason
+    assert str(later) == f"'utf-8' codec can't decode {at_1000}"
+
+
+def test_vocab_from_file_reads_blocks_like_lines(tmp_path, monkeypatch):
+    text = "b a\r\nc\u3000d\n\n  e\x85f\u2028g a\nlast"
+    path = tmp_path / "c.txt"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(corpus_module, "READ_BYTES", 3)
+    vocab = build_vocab_from_file(str(path))
+    expected = build_vocab(text.split())
+    assert vocab.words == expected.words
+    assert vocab.counts.tolist() == expected.counts.tolist()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cbos.corpus import build_vocab
+from cbos.corpus import Vocab, build_vocab
 from cbos.model import (
     EmbeddingModel,
     SIGMOID_CLAMP,
@@ -15,7 +15,7 @@ from cbos.model import (
     ns_loss,
     ns_update,
 )
-from cbos.subword import SubwordConfig, subword_ids
+from cbos.subword import SubwordConfig, extract_ngrams, fnv1a_32, subword_ids
 
 
 def reference_step(inp, out, bag_ids, target, negatives, lr):
@@ -281,3 +281,38 @@ def test_composed_word_matrix_vocab_mismatch():
     model = init_model(vocab_size=2, bucket=0, dim=4, seed=2)
     with pytest.raises(ValueError):
         composed_word_matrix(model, vocab)
+
+
+def mixed_vocab(n=300, seed=5):
+    """Words of 1 to 14 characters, some multi-byte, plus "a" (only its own row at minn 3)."""
+    rng = np.random.default_rng(seed)
+    letters = list("abcdefghijklmnopqrstuvwxyzéλ中😀")
+    words = {"a"}
+    while len(words) < n:
+        words.add("".join(rng.choice(letters, size=int(rng.integers(1, 15)))))
+    return Vocab(sorted(words), range(n, 0, -1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "minn,maxn,bucket",
+    [(0, 0, 0), (3, 6, 1), (3, 6, 7), (1, 4, 2), (2, 5, 1000), (5, 8, 97)],
+)
+def test_composed_word_matrix_is_the_per_word_mean_bit_for_bit(dtype, minn, maxn, bucket):
+    vocab = mixed_vocab()
+    model = init_model(len(vocab), bucket, 6, seed=4, dtype=dtype, minn=minn, maxn=maxn)
+    rng = np.random.default_rng(6)
+    # magnitudes over 8 decades, so that a different summation order changes the bits
+    model.input_matrix[:] = rng.normal(size=model.input_matrix.shape) * 10.0 ** rng.uniform(
+        -4, 4, size=model.input_matrix.shape
+    )
+    composed = composed_word_matrix(model, vocab)
+    expected = np.empty_like(composed)
+    for wid, word in enumerate(vocab.words):
+        ids = [wid]
+        if minn:
+            grams = extract_ngrams(word, minn, maxn)
+            ids += [len(vocab) + fnv1a_32(g.encode()) % bucket for g in grams]
+        expected[wid] = model.input_matrix[ids].mean(axis=0)
+    assert composed.dtype == model.dtype
+    assert composed.tobytes() == expected.tobytes()

@@ -1,9 +1,13 @@
 import hypothesis
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
-from cbos.corpus import build_vocab
+import cbos.subword as subword_module
+from cbos.analogy import UnresolvableWordError, word_vector
+from cbos.corpus import Vocab, build_vocab
+from cbos.model import init_model
 from cbos.subword import (
     SubwordConfig,
     build_subword_cache,
@@ -167,3 +171,109 @@ def test_subword_ids_deterministic(word):
     first = subword_ids(word, vocab, cfg).ids
     second = subword_ids(word, vocab, cfg).ids
     np.testing.assert_array_equal(first, second)
+
+
+# -- the vectorised hasher against the scalar one ----------------------------
+
+# 1-, 2-, 3- and 4-byte characters (bytes >= 0x80 from 2 bytes on), the
+# boundary markers themselves, NUL, and any other code point UTF-8 can encode
+CHARS = st.one_of(
+    st.sampled_from(list("ab<>\x00\x7f\x80éÿλ中\uffff😀𝄞")), st.characters(exclude_categories=["Cs"])
+)
+WORDS = st.text(CHARS, max_size=12)
+BUCKETS = st.sampled_from([1, 97, 2_000_000])
+
+
+def scalar_rows(word, word_id, n_vocab, config):
+    """The row ids of one word from extract_ngrams and fnv1a_32."""
+    head = [] if word_id is None else [word_id]
+    if not config.enabled:
+        return head
+    grams = extract_ngrams(word, config.minn, config.maxn)
+    return head + [n_vocab + fnv1a_32(g.encode()) % config.bucket for g in grams]
+
+
+def cache_rows(words, config):
+    """Every word's cached rows, as lists, for a vocabulary of exactly these words."""
+    vocab = Vocab(words, range(len(words), 0, -1))
+    cache = build_subword_cache(vocab, config)
+    assert cache.offsets.dtype == cache.ids.dtype == np.int64
+    assert len(cache) == len(words) and cache.offsets[-1] == cache.ids.size
+    got = [cache[i].tolist() for i in range(len(words))]
+    # a repeated word takes its last id, as Vocab.word2id does
+    return got, [scalar_rows(w, vocab.word2id[w], len(vocab), config) for w in words]
+
+
+@settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    words=st.lists(WORDS, min_size=1, max_size=10),
+    minn=st.integers(1, 8),
+    extra=st.integers(0, 7),
+    bucket=BUCKETS,
+)
+def test_subword_cache_matches_the_scalar_hasher(words, minn, extra, bucket):
+    got, expected = cache_rows(words, SubwordConfig(minn, min(8, minn + extra), bucket))
+    assert got == expected
+
+
+@pytest.mark.parametrize("minn", range(1, 9))
+def test_subword_cache_every_length_range(minn, monkeypatch):
+    # every 1 <= minn <= maxn <= 8, on words of every length up to 9 characters,
+    # hashed in three batches
+    monkeypatch.setattr(subword_module, "HASH_BATCH", 4)
+    words = ["", "a", "é", "中", "😀", "ab", "a中b", "wordy", "ÿλ中😀x", "abcdefg", "a😀b😀c😀d"]
+    for maxn in range(minn, 9):
+        for bucket in (1, 97, 2_000_000):
+            got, expected = cache_rows(words, SubwordConfig(minn, maxn, bucket))
+            assert got == expected
+
+
+def test_subword_cache_words_too_short_for_any_ngram():
+    # "<a>" is the excluded whole word; the empty word has no n-grams at all
+    cache = build_subword_cache(Vocab(["", "a", "😀"], [3, 2, 1]), SubwordConfig(3, 6, 97))
+    assert cache.offsets.tolist() == [0, 1, 2, 3]
+    assert cache.ids.tolist() == [0, 1, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@hypothesis.given(word=WORDS, minn=st.integers(1, 8), extra=st.integers(0, 7), bucket=BUCKETS)
+def test_subword_ids_in_vocab_and_oov_match_the_scalar_hasher(word, minn, extra, bucket):
+    config = SubwordConfig(minn, min(8, minn + extra), bucket)
+    other = word + "x"
+    for vocab in (Vocab(["filler", word], [2, 1]), Vocab(["filler", other], [2, 1])):
+        got = subword_ids(word, vocab, config)
+        assert got.word_id == vocab.id_of(word)
+        assert got.ngram_ids.dtype == np.int64
+        assert got.ids.tolist() == scalar_rows(word, vocab.id_of(word), len(vocab), config)
+
+
+@pytest.mark.parametrize(
+    "word,config",
+    [
+        ("a", SubwordConfig(3, 6, 97)),  # only the excluded "<a>"
+        ("", SubwordConfig(1, 2, 97)),
+        ("ab", SubwordConfig(5, 8, 97)),  # "<ab>" is shorter than minn
+        ("anything", SubwordConfig(0, 0, 0)),  # n-grams disabled
+    ],
+)
+def test_word_without_rows_stays_unresolvable(word, config):
+    vocab = build_vocab(["filler"])
+    model = init_model(1, config.bucket, 3, seed=0, minn=config.minn, maxn=config.maxn)
+    assert subword_ids(word, vocab, config).ids.size == 0
+    with pytest.raises(UnresolvableWordError):
+        word_vector(model, vocab, word)
+
+
+def test_build_subword_cache_is_csr_and_a_sequence():
+    vocab = Vocab(["alpha", "béta", "alpha", "中"], [4, 3, 2, 1])
+    config = SubwordConfig(2, 4, 50)
+    cache = build_subword_cache(vocab, config)
+    assert len(cache) == 4
+    assert cache.offsets.tolist() == np.cumsum([0] + [a.size for a in cache]).tolist()
+    np.testing.assert_array_equal(np.concatenate(list(cache)), cache.ids)
+    for wid, word in enumerate(vocab.words):
+        # a repeated word takes its last id, as Vocab.word2id does
+        assert cache[wid].tolist() == scalar_rows(word, vocab.word2id[word], len(vocab), config)
+    plain = build_subword_cache(vocab, SubwordConfig(0, 0, 0))
+    assert plain.offsets.tolist() == [0, 1, 2, 3, 4]
+    assert plain.ids.tolist() == [2, 1, 2, 3]

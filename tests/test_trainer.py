@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cbos.trainer as trainer_module
-from cbos.corpus import build_negative_table, build_vocab
+from cbos.corpus import CorpusDecodeError, build_negative_table, build_vocab
 from cbos.subword import build_subword_cache
 from cbos.trainer import (
     CBOS_VARIANTS,
@@ -502,11 +502,12 @@ def test_iter_slice_chunks_hold_whole_lines(tmp_path_factory, text, n_workers, c
     path.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trainer_module, "CHUNK_BYTES", chunk_bytes)
-        blocks = [
-            block for w in range(n_workers) for block in iter_slice_chunks(str(path), w, n_workers)
-        ]
+        pairs = [pair for w in range(n_workers) for pair in iter_slice_chunks(str(path), w, n_workers)]
+    blocks = [block for _, block in pairs]
     assert b"".join(blocks) == text.encode()
     assert all(b.endswith(b"\n") for b in blocks[:-1])
+    # each block carries the file offset of its first byte
+    assert [start for start, _ in pairs] == [len(b"".join(blocks[:i])) for i in range(len(blocks))]
 
 
 def test_encode_chunk_ids_and_offsets():
@@ -650,6 +651,20 @@ def test_worker_failure_reaches_parent(tmp_path, monkeypatch, broken, expected):
         train(quick_config(workers=2), path)
     assert expected in str(info.value)
     assert expected.replace("worker-0", "worker-1") in str(info.value)
+
+
+def test_train_decode_error_gives_the_file_offset(corrupt_corpus, monkeypatch):
+    path, offset = corrupt_corpus
+    monkeypatch.setattr(trainer_module, "CHUNK_BYTES", 4096)  # the bad byte sits deep in a later block
+    vocab = build_vocab(["alpha", "beta", "gamma", "délta"])
+    with pytest.raises(CorpusDecodeError) as info:
+        train(quick_config(), path, vocab=vocab)
+    assert (info.value.start, info.value.end) == (offset, offset + 1)
+    message = f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
+    assert str(info.value) == message
+    with pytest.raises(RuntimeError) as info:  # the bad byte is in the second worker's slice
+        train(quick_config(workers=2), path, vocab=vocab)
+    assert f"cbos-worker-1: CorpusDecodeError: {message}" in str(info.value)
 
 
 def test_train_progress_line_format(tmp_path):
