@@ -10,7 +10,6 @@ from .analogy import (
     AnalogyDataset,
     AnalogyQuestion,
     AnalogyReport,
-    analogy_predict,
     evaluate,
     load_analogy_file,
     nearest_neighbors,
@@ -38,7 +37,6 @@ __all__ = [
     "TrainResult",
     "Trainer",
     "Vocab",
-    "analogy_predict",
     "build_negative_table",
     "build_vocab",
     "build_vocab_from_file",

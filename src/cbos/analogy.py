@@ -38,10 +38,6 @@ class AnalogyParseError(ValueError):
     """Malformed question file; message carries path and line number."""
 
 
-class OOVQuestionError(LookupError):
-    """A question word has no vocabulary id; the question must be skipped."""
-
-
 class UnresolvableWordError(LookupError):
     """A word with neither a vocab id nor any n-gram rows to compose from."""
 
@@ -160,7 +156,7 @@ def word_vector(model: EmbeddingModel, vocab: Vocab, word: str) -> np.ndarray:
     :class:`UnresolvableWordError` when no rows exist at all (OOV with
     n-grams disabled, or a word too short to yield a single n-gram).
     """
-    ids = subword_ids(word, vocab, model_subword_config(model)).ids
+    ids = subword_ids(word, vocab, model_subword_config(model))
     if ids.size == 0:
         raise UnresolvableWordError(word)
     return model.input_matrix[ids].mean(axis=0)
@@ -195,29 +191,6 @@ class VectorSpace:
         if not np.isfinite(scores[best]):
             raise DegenerateVectorError("no candidate with a usable vector")
         return best
-
-
-def analogy_predict(
-    model: EmbeddingModel,
-    vocab: Vocab,
-    a: str,
-    b: str,
-    c: str,
-    space: VectorSpace | None = None,
-) -> str:
-    """The vocab word whose unit vector is closest to norm(b) - norm(a) + norm(c).
-
-    The three question words are excluded from the candidates. Passing a
-    prebuilt :class:`VectorSpace` amortizes normalization across questions.
-    Raises :class:`OOVQuestionError` if any input word lacks a vocab id.
-    """
-    ids = [vocab.id_of(w) for w in (a, b, c)]
-    missing = [w for w, i in zip((a, b, c), ids) if i is None]
-    if missing:
-        raise OOVQuestionError(", ".join(missing))
-    if space is None:
-        space = VectorSpace(model, vocab)
-    return vocab.words[space.predict_id(*ids)]
 
 
 @dataclass

@@ -14,7 +14,6 @@ import sys
 from .analogy import (
     AnalogyParseError,
     DegenerateVectorError,
-    OOVQuestionError,
     UnresolvableWordError,
     evaluate,
     load_analogy_file,
@@ -35,7 +34,6 @@ _RUNTIME_ERRORS = (
     FormatError,
     EmptyVocabError,
     AnalogyParseError,
-    OOVQuestionError,
     UnresolvableWordError,
     DegenerateVectorError,
     RuntimeError,

@@ -19,7 +19,6 @@ from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
-SUBSAMPLE_THRESHOLD = 1e-4
 NEGATIVE_TABLE_SIZE = 10_000_000
 NEGATIVE_POWER = 0.75
 READ_BYTES = 1 << 16  # corpus text per decode while counting words

@@ -10,9 +10,10 @@ Scores are clamped to [-8, 8] before the sigmoid so the exponential cannot
 overflow; within that range everything is computed exactly (no lookup
 tables).
 
-Training runs this step in the compiled kernel of :mod:`cbos.kernel`;
-:func:`compute_hidden` and :func:`ns_update` are its reference, which the
-tests compare it against.
+Training runs this step in the compiled kernel of :mod:`cbos.kernel`.
+:func:`compute_hidden` and :func:`ns_update` are only its reference oracle,
+which the tests and the acceptance gate replay: one ``mean`` over the
+gathered rows, and one ``np.add.at`` per matrix for the update.
 
 At query time :func:`composed_word_matrix` averages every word's rows in
 numpy, one row per word per step, so each vector is bit-identical to the
@@ -115,18 +116,11 @@ def compute_hidden(ids: np.ndarray, model: EmbeddingModel) -> Hidden:
     """Mean of the input rows selected by ``ids``.
 
     Raises on an empty id set; callers skip predictions with empty bags.
-    A single-id hidden vector is a view of the model row, not a copy, so it
-    goes stale when the model is mutated; recompute after any update.
     """
     ids = np.asarray(ids)
     if ids.size == 0:
         raise ValueError("cannot compute a hidden vector from an empty id set")
-    if ids.size == 1:
-        return Hidden(vector=model.input_matrix[ids[0]], source_ids=ids, scale=1.0)
-    rows = model.input_matrix[ids]
-    return Hidden(
-        vector=rows.mean(axis=0), source_ids=ids, scale=1.0 / ids.size
-    )
+    return Hidden(vector=model.input_matrix[ids].mean(axis=0), source_ids=ids, scale=1.0 / ids.size)
 
 
 def model_subword_config(model: EmbeddingModel) -> SubwordConfig:
@@ -233,32 +227,11 @@ def ns_update(
     analytic gradient of the loss. Repeated row ids (duplicate bag words,
     colliding n-gram hashes) accumulate their contributions.
     """
-    ids_list = _as_id_list(target, negatives, model.vocab_size)
-    out = model.output_matrix
-    ids = np.asarray(ids_list, dtype=np.intp)
-    u = out[ids]
-    scores = u @ hidden.vector
-    loss, alphas = _sigmoid_loss_alpha(scores, lr)
+    ids = np.asarray(_as_id_list(target, negatives, model.vocab_size), dtype=np.intp)
+    u = model.output_matrix[ids]
+    loss, alphas = _sigmoid_loss_alpha(u @ hidden.vector, lr)
     alpha = np.asarray(alphas, dtype=u.dtype)
     grad = alpha @ u
-    step = alpha[:, np.newaxis] * hidden.vector[np.newaxis, :]
-    if len(set(ids_list)) == len(ids_list):
-        u += step
-        out[ids] = u
-    else:
-        np.add.at(out, ids, step)
-
-    src = hidden.source_ids
-    delta = grad * hidden.scale
-    inp = model.input_matrix
-    if src.size == 1:
-        inp[src[0]] += delta
-    else:
-        src_list = src.tolist()
-        if len(set(src_list)) == len(src_list):
-            rows = inp[src]
-            rows += delta
-            inp[src] = rows
-        else:
-            np.add.at(inp, src, delta)
+    np.add.at(model.output_matrix, ids, alpha[:, np.newaxis] * hidden.vector)
+    np.add.at(model.input_matrix, hidden.source_ids, grad * hidden.scale)
     return loss

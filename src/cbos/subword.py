@@ -10,8 +10,10 @@ out-of-vocabulary words be composed from n-grams alone at query time.
 once, in numpy: one lane per (word, start character) walks the UTF-8 bytes
 of ``<word>``, and each step applies one 32-bit FNV-1a update to every live
 lane. Its result is CSR (offsets, ids), the form the training kernel reads;
-:func:`subword_ids` resolves one word the same way. :func:`extract_ngrams`
-and :func:`fnv1a_32` stay as the scalar reference the tests compare with.
+:func:`extract_ngrams` and :func:`fnv1a_32` are the scalar reference the
+tests compare it with; :func:`subword_ids` resolves one word (a query word,
+often out of vocabulary) through them, which for a single word costs less
+than the vectorised pass.
 
 Setting ``minn = maxn = 0`` disables n-grams entirely (pure-word training).
 """
@@ -53,24 +55,6 @@ class SubwordConfig:
     @property
     def enabled(self) -> bool:
         return self.minn >= 1
-
-
-@dataclass(frozen=True)
-class SubwordIds:
-    """Input-matrix row ids for one word: its vocab id (if any) plus n-gram ids."""
-
-    word_id: int | None
-    ngram_ids: np.ndarray
-
-    @property
-    def ids(self) -> np.ndarray:
-        """All input rows for this word, word id first."""
-        if self.word_id is None:
-            return self.ngram_ids
-        head = np.array([self.word_id], dtype=np.int64)
-        if self.ngram_ids.size == 0:
-            return head
-        return np.concatenate([head, self.ngram_ids])
 
 
 def extract_ngrams(word: str, minn: int, maxn: int) -> list[str]:
@@ -174,31 +158,18 @@ def _ngram_hashes(words: Sequence[str], minn: int, maxn: int) -> tuple[np.ndarra
     return out_off[lane_off], hashes[:-1]
 
 
-def _ngram_rows(words: Sequence[str], n_vocab: int, config: SubwordConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every word's n-gram rows ``n_vocab + hash % bucket`` as CSR, int64 (none when disabled).
+def subword_ids(word: str, vocab: Vocab, config: SubwordConfig) -> np.ndarray:
+    """A word's input-matrix rows under ``config``, int64: its vocab id (if any), then its n-gram rows.
 
-    Words are hashed ``HASH_BATCH`` at a time, which bounds the hasher's
-    per-lane temporaries whatever the vocabulary size.
+    Out-of-vocabulary words get n-gram rows only (none if the word is too
+    short to produce any n-gram). The rows come from the scalar :func:`hash_ngram`.
     """
-    if not config.enabled:
-        return np.zeros(len(words) + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    offsets, rows = [np.zeros(1, dtype=np.int64)], []
-    for i in range(0, max(len(words), 1), HASH_BATCH):
-        batch_off, hashes = _ngram_hashes(words[i : i + HASH_BATCH], config.minn, config.maxn)
-        offsets.append(batch_off[1:] + offsets[-1][-1])
-        rows.append(hashes.astype(np.int64) % config.bucket + n_vocab)
-    return np.concatenate(offsets), np.concatenate(rows)
-
-
-def subword_ids(word: str, vocab: Vocab, config: SubwordConfig) -> SubwordIds:
-    """Resolve a word to its input-matrix rows under ``config``.
-
-    In-vocabulary words contribute their own row plus hashed n-gram rows;
-    out-of-vocabulary words contribute n-gram rows only (an empty id set if
-    the word is too short to produce any n-gram).
-    """
-    _, grams = _ngram_rows([word], len(vocab), config)
-    return SubwordIds(vocab.id_of(word), grams)
+    word_id = vocab.id_of(word)
+    rows = [] if word_id is None else [word_id]
+    if config.enabled:
+        grams = extract_ngrams(word, config.minn, config.maxn)
+        rows += [len(vocab) + hash_ngram(g, config.bucket) for g in grams]
+    return np.array(rows, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -230,7 +201,15 @@ def build_subword_cache(vocab: Vocab, config: SubwordConfig) -> SubwordCache:
     in :func:`extract_ngrams` order, hashed for every word at once.
     Computing these once keeps the hot training loop free of string work.
     """
-    gram_off, grams = _ngram_rows(vocab.words, len(vocab), config)
-    word_ids = [vocab.word2id[w] for w in vocab.words]  # a repeated word takes its last id
-    offsets = gram_off + np.arange(len(vocab) + 1)
-    return SubwordCache(offsets, np.insert(grams, gram_off[:-1], word_ids))
+    # a repeated word takes its last id
+    word_ids = np.array([vocab.word2id[w] for w in vocab.words], dtype=np.int64)
+    if not config.enabled:
+        return SubwordCache(np.arange(len(vocab) + 1, dtype=np.int64), word_ids)
+    gram_off, grams = [np.zeros(1, dtype=np.int64)], []
+    for i in range(0, max(len(vocab), 1), HASH_BATCH):  # batches bound the hasher's per-lane temporaries
+        batch_off, hashes = _ngram_hashes(vocab.words[i : i + HASH_BATCH], config.minn, config.maxn)
+        gram_off.append(batch_off[1:] + gram_off[-1][-1])
+        grams.append(hashes.astype(np.int64) % config.bucket + len(vocab))
+    gram_off = np.concatenate(gram_off)
+    ids = np.insert(np.concatenate(grams), gram_off[:-1], word_ids)
+    return SubwordCache(gram_off + np.arange(len(vocab) + 1), ids)

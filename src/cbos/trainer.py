@@ -81,9 +81,6 @@ VARIABLE_WINDOW_MAX = 5
 NEGATIVE_RETRY_LIMIT = 8
 CHUNK_BYTES = 1 << 20  # corpus text per kernel call
 
-_EMPTY_IDS = np.empty(0, dtype=np.int32)
-
-
 @dataclass
 class TrainConfig:
     """All tuning parameters of one training run.
@@ -126,6 +123,7 @@ class TrainConfig:
             ("min_count", 1),
             ("workers", 1),
             ("negatives", 0),
+            ("seed", 0),
         ):
             if getattr(self, name) < minimum:
                 raise ValueError(f"{name} must be >= {minimum}")
@@ -301,10 +299,7 @@ class Trainer:
         if subwords is None:
             subwords = build_subword_cache(vocab, config.subword_config())
         self.subwords = subwords
-        self._plain_words = not config.subword_config().enabled
-        if vocab.discard_probs is None:
-            vocab.set_discard_probs(config.t)
-        self._discard = vocab.discard_probs
+        self._discard = vocab.set_discard_probs(config.t)
         self._subsample_active = bool((self._discard > 0).any())
         if vocab.negative_table is None:
             build_negative_table(vocab)
@@ -324,14 +319,11 @@ class Trainer:
         fewer). A single-word vocabulary therefore yields no negatives.
         """
         k = self.cfg.negatives
-        if k == 0:
-            return _EMPTY_IDS
+        if k == 0:  # draws nothing, so the stream does not move
+            return np.empty(0, dtype=np.int32)
         rng, table = self.negative_rng, self._table
-        block = table[rng.integers(0, table.size, size=k)]
-        if target not in block:
-            return block
         kept: list[int] = []
-        for value in block.tolist():
+        for value in table[rng.integers(0, table.size, size=k)].tolist():
             if value != target:
                 kept.append(value)
                 continue
@@ -375,12 +367,7 @@ class Trainer:
         return [j for j in range(lo, hi + 1) if j != pos]
 
     def _bag_ids(self, sentence: list[int], positions: list[int]) -> np.ndarray:
-        if self._plain_words:
-            return np.array([sentence[j] for j in positions], dtype=np.int64)
-        parts = [self.subwords[sentence[j]] for j in positions]
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+        return np.concatenate([self.subwords[sentence[j]] for j in positions])
 
     # -- schedule ----------------------------------------------------------
 
@@ -432,9 +419,8 @@ class Trainer:
         if not sentence:
             return
         bs = self.window_rng.integers(1, self.cfg.ws + 1, size=len(sentence)).tolist()
-        step = self.step
         for pos in range(len(sentence)):
-            step(sentence, pos, bs[pos], lr)
+            self.step(sentence, pos, bs[pos], lr)
 
 
 # -- corpus slicing and encoding ------------------------------------------

@@ -217,6 +217,16 @@ def test_train_seed_from_environment(tmp_path, monkeypatch):
     assert env_bytes != (tmp_path / "other.cbos").read_bytes()
 
 
+def test_train_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys):
+    corpus = write_corpus(tmp_path)
+    assert run(train_args(corpus, str(tmp_path / "flag"), "-seed", "-1")) == EXIT_USAGE
+    assert "usage error: seed must be >= 0" in capsys.readouterr().err
+    monkeypatch.setenv("CBOS_SEED", "-3")
+    assert run(train_args(corpus, str(tmp_path / "env"))) == EXIT_USAGE
+    assert "usage error: seed must be >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.cbos")) and not list(tmp_path.glob("*.vec"))
+
+
 def test_train_invalid_seed_env_is_usage_error(tmp_path, monkeypatch, capsys):
     corpus = write_corpus(tmp_path)
     monkeypatch.setenv("CBOS_SEED", "not-a-number")

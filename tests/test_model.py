@@ -270,7 +270,7 @@ def test_composed_word_matrix_subword_mean():
     cfg = model_subword_config(model)
     assert cfg == SubwordConfig(2, 3, 30)
     for wid, word in enumerate(vocab.words):
-        ids = subword_ids(word, vocab, cfg).ids
+        ids = subword_ids(word, vocab, cfg)
         np.testing.assert_allclose(
             composed[wid], model.input_matrix[ids].mean(axis=0), rtol=1e-6
         )

@@ -127,30 +127,28 @@ def test_subword_ids_in_vocab_word_first():
     vocab = build_vocab(["cat", "cat", "dog"])
     cfg = SubwordConfig(3, 6, 100)
     ids = subword_ids("cat", vocab, cfg)
-    assert ids.word_id == 0
     # n-grams of <cat>: <ca, <cat, cat, cat>, at>  (full <cat> excluded)
     grams = ["<ca", "<cat", "cat", "cat>", "at>"]
     expected = [len(vocab) + fnv1a_32(g.encode()) % 100 for g in grams]
-    assert ids.ngram_ids.tolist() == expected
-    assert ids.ids.tolist() == [0] + expected
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [0] + expected
 
 
 def test_subword_ids_oov_has_no_word_row():
     vocab = build_vocab(["cat"])
     cfg = SubwordConfig(3, 6, 100)
     ids = subword_ids("dog", vocab, cfg)
-    assert ids.word_id is None
-    assert ids.ngram_ids.size > 0
-    assert (ids.ids >= len(vocab)).all()
+    assert ids.size > 0
+    assert (ids >= len(vocab)).all()
 
 
 def test_subword_ids_disabled_config():
     vocab = build_vocab(["cat"])
     cfg = SubwordConfig(0, 0, 0)
     ids = subword_ids("cat", vocab, cfg)
-    assert ids.ids.tolist() == [0]
+    assert ids.tolist() == [0]
     oov = subword_ids("dog", vocab, cfg)
-    assert oov.ids.size == 0
+    assert oov.size == 0 and oov.dtype == np.int64
 
 
 def test_build_subword_cache_matches_per_word():
@@ -159,7 +157,7 @@ def test_build_subword_cache_matches_per_word():
     cache = build_subword_cache(vocab, cfg)
     assert len(cache) == len(vocab)
     for wid, word in enumerate(vocab.words):
-        expected = subword_ids(word, vocab, cfg).ids
+        expected = subword_ids(word, vocab, cfg)
         np.testing.assert_array_equal(cache[wid], expected)
         assert cache[wid][0] == wid
 
@@ -168,8 +166,8 @@ def test_build_subword_cache_matches_per_word():
 def test_subword_ids_deterministic(word):
     vocab = build_vocab(["filler"])
     cfg = SubwordConfig(2, 4, 1000)
-    first = subword_ids(word, vocab, cfg).ids
-    second = subword_ids(word, vocab, cfg).ids
+    first = subword_ids(word, vocab, cfg)
+    second = subword_ids(word, vocab, cfg)
     np.testing.assert_array_equal(first, second)
 
 
@@ -242,9 +240,8 @@ def test_subword_ids_in_vocab_and_oov_match_the_scalar_hasher(word, minn, extra,
     other = word + "x"
     for vocab in (Vocab(["filler", word], [2, 1]), Vocab(["filler", other], [2, 1])):
         got = subword_ids(word, vocab, config)
-        assert got.word_id == vocab.id_of(word)
-        assert got.ngram_ids.dtype == np.int64
-        assert got.ids.tolist() == scalar_rows(word, vocab.id_of(word), len(vocab), config)
+        assert got.dtype == np.int64
+        assert got.tolist() == scalar_rows(word, vocab.id_of(word), len(vocab), config)
 
 
 @pytest.mark.parametrize(
@@ -259,7 +256,7 @@ def test_subword_ids_in_vocab_and_oov_match_the_scalar_hasher(word, minn, extra,
 def test_word_without_rows_stays_unresolvable(word, config):
     vocab = build_vocab(["filler"])
     model = init_model(1, config.bucket, 3, seed=0, minn=config.minn, maxn=config.maxn)
-    assert subword_ids(word, vocab, config).ids.size == 0
+    assert subword_ids(word, vocab, config).size == 0
     with pytest.raises(UnresolvableWordError):
         word_vector(model, vocab, word)
 

@@ -125,6 +125,7 @@ def test_config_variant_requires_cbos():
         {"min_count": 0},
         {"workers": 0},
         {"negatives": -1},
+        {"seed": -1},
         {"lr0": 0.0},
         {"t": 0.0},
         {"minn": 4, "maxn": 2},
@@ -447,6 +448,16 @@ def test_prepare_sentence_aggressive_subsampling_drops_tokens():
     assert len(ids) < 400
 
 
+def test_trainer_subsamples_at_its_own_threshold():
+    # a vocabulary that still holds the discard probabilities of another threshold
+    stale, fresh = distinct_vocab(), distinct_vocab()
+    stale.set_discard_probs(0.1)
+    tokens = [w for w in fresh.words for _ in range(20)]
+    kept = [make_trainer(vocab=v, t=1e-4).prepare_sentence(tokens) for v in (stale, fresh)]
+    np.testing.assert_array_equal(stale.discard_probs, fresh.discard_probs)
+    assert kept[0] == kept[1]
+
+
 def test_prepare_sentence_deterministic_for_seed():
     a = make_trainer(t=1e-8, rng=np.random.default_rng(4))
     b = make_trainer(t=1e-8, rng=np.random.default_rng(4))
@@ -627,6 +638,19 @@ def test_train_multi_worker_updates_shared_model(tmp_path):
         assert result.stats.tokens_scanned == result.vocab.total_tokens * 2
         assert result.stats.updates > 0
         assert not (result.model.output_matrix == 0).all()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_never_runs_the_python_reference(tmp_path, monkeypatch, workers):
+    def reference(*args, **kwargs):
+        raise AssertionError("train() ran the Python reference")
+
+    for name in ("Trainer", "ns_update", "compute_hidden", "encode_chunk", "_sentences"):
+        monkeypatch.setattr(trainer_module, name, reference)  # forked workers inherit it
+    path = small_corpus(tmp_path)
+    result = train(quick_config(workers=workers, minn=3, maxn=6, bucket=500), path)
+    assert result.stats.tokens_scanned == result.vocab.total_tokens * 2
+    assert result.stats.updates > 0
 
 
 def raise_in_worker(path, worker_id, n_workers):
