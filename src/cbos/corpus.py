@@ -2,10 +2,12 @@
 
 The training pipeline expects plain UTF-8 text with one sentence per line.
 `normalize_text` produces that form from raw text (lowercase, punctuation
-stripped); the remaining functions build the word inventory and the two
-sampling structures every training schedule relies on: per-word discard
-probabilities for frequent-word subsampling and the unigram^power table
-used to draw negative samples.
+stripped); the remaining functions build the word inventory and derive from
+it the two sampling tables every training schedule relies on: per-word
+discard probabilities for frequent-word subsampling
+(:meth:`Vocab.discard_probs`) and the unigram^power table used to draw
+negative samples (:func:`build_negative_table`). A training run builds both
+for itself and keeps them only while it runs.
 """
 
 from __future__ import annotations
@@ -99,12 +101,11 @@ def iter_file_tokens(path: str) -> Iterator[str]:
 
 
 class Vocab:
-    """Word inventory with counts, dense ids, and training-time sampling state.
+    """Word inventory: words, counts, dense ids and the token total.
 
     Ids are contiguous ``0..V-1``, assigned in descending count order with
-    ties broken by first occurrence. ``discard_probs`` and ``negative_table``
-    start unset; training populates them via :meth:`set_discard_probs` and
-    :func:`build_negative_table`.
+    ties broken by first occurrence. A vocabulary holds no training state:
+    the sampling tables derived from it belong to the run that builds them.
     """
 
     def __init__(self, words: Iterable[str], counts: Iterable[int]):
@@ -114,8 +115,6 @@ class Vocab:
             raise ValueError("words and counts length mismatch")
         self.word2id: dict[str, int] = {w: i for i, w in enumerate(self.words)}
         self.total_tokens: int = int(self.counts.sum())
-        self.discard_probs: np.ndarray | None = None
-        self.negative_table: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -130,14 +129,12 @@ class Vocab:
         """Per-word occurrence fraction count/total_tokens."""
         return self.counts / float(self.total_tokens)
 
-    def set_discard_probs(self, threshold: float) -> np.ndarray:
-        """Compute and cache the subsampling discard probability per word id."""
+    def discard_probs(self, threshold: float) -> np.ndarray:
+        """The subsampling discard probability of each word id at ``threshold``."""
         if threshold <= 0:
             raise ValueError(f"subsample threshold must be positive, got {threshold}")
         freqs = self.frequencies()
-        keep = np.minimum(1.0, np.sqrt(threshold / freqs) + threshold / freqs)
-        self.discard_probs = 1.0 - keep
-        return self.discard_probs
+        return 1.0 - np.minimum(1.0, np.sqrt(threshold / freqs) + threshold / freqs)
 
     def dump_tsv(self, out: TextIO | None = None) -> None:
         """Write the debug dump: one ``word<TAB>count<TAB>id`` line per entry."""
@@ -213,6 +210,4 @@ def build_negative_table(
     # landing one slot short after float rounding.
     bounds = np.floor(cum * table_size + 1e-6).astype(np.int64)
     slots = np.diff(np.concatenate(([0], bounds)))
-    table = np.repeat(np.arange(len(vocab), dtype=np.int32), slots)
-    vocab.negative_table = table
-    return table
+    return np.repeat(np.arange(len(vocab), dtype=np.int32), slots)

@@ -312,9 +312,9 @@ static int step(Job *J, Scratch *S, const int32_t *sent, int64_t n, int64_t pos,
             if (bag_predict(J, S, sent, pos, ctx, i + 1, pos, lr))
                 return -1;
         return 0;
-    case VARIABLE_WINDOW:
+    case VARIABLE_WINDOW: /* drop-one inside a redrawn window */
         k = context(n, pos, 1 + DRAW_BELOW(J, S, DROP, J->window_max), ctx);
-        /* fall through: drop-one inside the redrawn window */
+        /* fall through */
     case DROP_ONE:
     case NON_REPEATED: {
         if (k < 2)
@@ -376,8 +376,8 @@ int64_t cbos_train_chunk(Job *J, const int32_t *ids, const int64_t *offsets, int
         status = -1;
         goto done;
     }
-    for (int s = 0; s < N_STREAMS; s++)
-        S.key[s] = stream_key(J->seed, (uint64_t)J->worker, (uint64_t)s);
+    for (int stream = 0; stream < N_STREAMS; stream++)
+        S.key[stream] = stream_key(J->seed, (uint64_t)J->worker, (uint64_t)stream);
 
     /* Other workers add to their rows concurrently: read and write through volatile. */
     volatile double *slots = J->slots;

@@ -21,6 +21,7 @@ import numpy as np
 
 from .corpus import EmptyVocabError, Vocab
 from .model import EmbeddingModel, composed_word_matrix
+from .subword import SubwordConfig
 from .trainer import TrainConfig
 
 MAGIC = b"CBOS"
@@ -187,6 +188,12 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
                 f"{path}: unsupported format version {version} "
                 f"(this build reads {FORMAT_VERSION})"
             )
+        try:
+            if dim < 1:
+                raise ValueError(f"dim must be >= 1, got {dim}")
+            SubwordConfig(minn, maxn, bucket)
+        except ValueError as exc:
+            raise FormatError(f"{path}: invalid header: {exc}") from None
         try:
             config = TrainConfig(**json.loads(_read_block(handle, "config")))
             vocab_block = json.loads(_read_block(handle, "vocab"))

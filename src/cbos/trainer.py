@@ -20,7 +20,8 @@ vocabulary ids (through a :class:`cbos.kernel.VocabIndex` built once before
 the workers start) and trains on it; Python only reads the blocks.
 :class:`Trainer` (``step``, ``prepare_sentence``, ``train_sentence``,
 ``draw_negatives``) and :func:`encode_chunk` are the Python references the
-tests compare the kernel against; ``train`` never calls them.
+tests compare the kernel against; ``train`` never calls them. The reference
+reads the sentences of :func:`encode_chunk`, the same ids the kernel reads.
 Both draw from :class:`cbos.kernel.CounterRng` streams, one each for
 windows, negatives, subsampling and bag-rule choices, so at ``workers=1``
 they make the same predictions in the same order.
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import mmap
 import multiprocessing
 import multiprocessing.connection
@@ -127,10 +129,10 @@ class TrainConfig:
         ):
             if getattr(self, name) < minimum:
                 raise ValueError(f"{name} must be >= {minimum}")
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
-        if self.t <= 0:
-            raise ValueError("subsample threshold t must be positive")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
+        if not 0 < self.t < math.inf:
+            raise ValueError(f"subsample threshold t must be positive and finite, got {self.t}")
         self.subword_config()  # validates the minn/maxn/bucket combination
 
     def subword_config(self) -> SubwordConfig:
@@ -269,12 +271,13 @@ KERNEL_BAG_RULES = (
 class Trainer:
     """Python reference of one worker: rng streams, sampling, and the schedule step.
 
-    A trainer never owns the matrices. :meth:`step` operates on a
-    ``sentence`` given as a list of vocab ids (already subsampled) and
-    returns the summed loss of the updates it issued. By default it draws
-    from the four :class:`~cbos.kernel.CounterRng` streams of worker 0, as
-    the kernel does at ``workers=1``; a given ``rng`` (anything with
-    ``integers`` and ``random``) serves every draw instead.
+    A trainer never owns the matrices; it builds its own discard
+    probabilities and negative table, as ``train`` does. :meth:`step`
+    operates on a ``sentence`` given as a list of vocab ids (already
+    subsampled) and returns the summed loss of the updates it issued. By
+    default it draws from the four :class:`~cbos.kernel.CounterRng` streams
+    of worker 0, as the kernel does at ``workers=1``; a given ``rng``
+    (anything with ``integers`` and ``random``) serves every draw instead.
     """
 
     def __init__(
@@ -287,7 +290,6 @@ class Trainer:
         subwords: SubwordCache | None = None,
     ):
         self.model = model
-        self.vocab = vocab
         self.cfg = config
         if rng is None:
             streams = [kernel.CounterRng(config.seed, 0, s) for s in range(4)]
@@ -299,11 +301,9 @@ class Trainer:
         if subwords is None:
             subwords = build_subword_cache(vocab, config.subword_config())
         self.subwords = subwords
-        self._discard = vocab.set_discard_probs(config.t)
+        self._discard = vocab.discard_probs(config.t)
         self._subsample_active = bool((self._discard > 0).any())
-        if vocab.negative_table is None:
-            build_negative_table(vocab)
-        self._table = vocab.negative_table
+        self._table = build_negative_table(vocab)
         self.loss_sum = 0.0
         self.n_updates = 0
         self.tokens_seen = 0
@@ -402,17 +402,19 @@ class Trainer:
 
     # -- sentence loop -----------------------------------------------------
 
-    def prepare_sentence(self, tokens: list[str]) -> tuple[list[int], int]:
-        """Map tokens to vocab ids and subsample; returns (kept ids, in-vocab count)."""
-        w2id = self.vocab.word2id
-        ids = [w2id[t] for t in tokens if t in w2id]
-        scanned = len(ids)
+    def prepare_sentence(self, ids: np.ndarray) -> tuple[list[int], int]:
+        """Drop out-of-vocabulary ids (-1) of one encoded sentence and subsample the rest.
+
+        Returns (kept ids, in-vocabulary count). ``ids`` is one sentence of
+        :func:`encode_chunk`, as the kernel reads it.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        ids = ids[ids >= 0]
+        scanned = ids.size
         self.tokens_seen += scanned
-        if ids and self._subsample_active:
-            arr = np.array(ids, dtype=np.int64)
-            keep = self.subsample_rng.random(arr.size) >= self._discard[arr]
-            ids = arr[keep].tolist()
-        return ids, scanned
+        if scanned and self._subsample_active:
+            ids = ids[self.subsample_rng.random(scanned) >= self._discard[ids]]
+        return ids.tolist(), scanned
 
     def train_sentence(self, sentence: list[int], lr: float) -> None:
         """Run :meth:`step` at every position with per-position windows."""
@@ -427,7 +429,7 @@ class Trainer:
 
 
 def iter_slice_chunks(path: str, worker_id: int, n_workers: int) -> Iterator[tuple[int, bytes]]:
-    """(file offset, block) pairs of whole lines, together every line starting inside this worker's byte range.
+    """(file offset, block) pairs of whole lines that together hold every line starting in this worker's byte range.
 
     The file is split into ``n_workers`` equal byte ranges; a worker whose
     range starts mid-line skips forward to the next newline, so every line
@@ -444,21 +446,6 @@ def iter_slice_chunks(path: str, worker_id: int, n_workers: int) -> Iterator[tup
         yield from iter_line_blocks(handle, end, CHUNK_BYTES)
 
 
-def _sentences(block: bytes) -> Iterator[list[str]]:
-    for line in block.decode("utf-8").split("\n"):
-        tokens = line.split()
-        if tokens:
-            yield tokens
-
-
-def iter_slice_sentences(
-    path: str, worker_id: int, n_workers: int
-) -> Iterator[list[str]]:
-    """Token lists of every non-blank line starting inside this worker's byte range."""
-    for _, block in iter_slice_chunks(path, worker_id, n_workers):
-        yield from _sentences(block)
-
-
 def encode_chunk(block: bytes, word2id: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     """Token ids (-1 out of vocabulary) and sentence offsets of one block, in Python.
 
@@ -468,9 +455,10 @@ def encode_chunk(block: bytes, word2id: dict[str, int]) -> tuple[np.ndarray, np.
     get = word2id.get
     ids: list[int] = []
     offsets = [0]
-    for tokens in _sentences(block):
-        ids += [get(t, -1) for t in tokens]
-        offsets.append(len(ids))
+    for line in block.decode("utf-8").split("\n"):
+        ids += [get(token, -1) for token in line.split()]
+        if len(ids) > offsets[-1]:
+            offsets.append(len(ids))
     return np.array(ids, dtype=np.int32), np.array(offsets, dtype=np.int64)
 
 
@@ -541,82 +529,6 @@ def _emit_events(records: np.ndarray, sink: TraceSink, variant: str | None) -> N
         i += 4 + n
 
 
-def _kernel_job(
-    config: TrainConfig,
-    model: EmbeddingModel,
-    vocab: Vocab,
-    rows: tuple[np.ndarray, np.ndarray],
-    slots: np.ndarray,
-    worker_id: int,
-    traced: bool,
-) -> kernel.ChunkTrainer:
-    """One worker's kernel job over the shared model, tables and slot array."""
-    row_off, row_ids = rows
-    skipgram, bag_rule = SCHEDULES[config.variant or config.model_kind]
-    discard, table = vocab.discard_probs, vocab.negative_table
-    arrays = dict(
-        inp=model.input_matrix,
-        out=model.output_matrix,
-        row_off=row_off,
-        rows=row_ids,
-        table=table,
-        discard=discard,
-        slots=slots,
-    )
-    return kernel.ChunkTrainer(
-        arrays,
-        seed=config.seed % 2**64,
-        worker=worker_id,
-        lr0=config.lr0,
-        lr_floor=LR_FLOOR,
-        clamp=SIGMOID_CLAMP,
-        total=vocab.total_tokens * config.epochs,
-        n_workers=config.workers,
-        table_size=table.size,
-        dim=config.dim,
-        max_rows=int(np.diff(row_off).max()),
-        negatives=config.negatives,
-        ws=config.ws,
-        window_max=VARIABLE_WINDOW_MAX,
-        retry_limit=NEGATIVE_RETRY_LIMIT,
-        skipgram=int(skipgram),
-        bag_rule=KERNEL_BAG_RULES.index(bag_rule),
-        subsample=int((discard > 0).any()),
-        trace=int(traced),
-    )
-
-
-def _run_worker(
-    job: kernel.ChunkTrainer,
-    index: kernel.VocabIndex,
-    config: TrainConfig,
-    path: str,
-    vocab: Vocab,
-    worker_id: int,
-    slots: np.ndarray,
-    trace: TraceSink | None,
-    progress_out: IO[str] | None,
-    t0: float,
-) -> None:
-    last_print = time.monotonic()
-    total = vocab.total_tokens * config.epochs
-    on_events = None
-    if trace is not None:
-        on_events = functools.partial(_emit_events, sink=trace, variant=config.variant)
-    for _epoch in range(config.epochs):
-        for block_start, block in iter_slice_chunks(path, worker_id, config.workers):
-            try:
-                encoded = index.encode(block)
-            except UnicodeDecodeError as exc:
-                raise CorpusDecodeError(exc, block_start) from None
-            job.train_chunk(*encoded, on_events)
-            if progress_out is not None:
-                now = time.monotonic()
-                if now - last_print >= 0.5:
-                    _print_progress(progress_out, slots, total, config.lr0, t0)
-                    last_print = now
-
-
 _ERROR_BYTES = 1024  # room for one worker's "ExcType: message"
 
 
@@ -646,9 +558,10 @@ def train(
 ) -> TrainResult:
     """Train a model on a one-sentence-per-line corpus file.
 
-    Builds the vocabulary (unless one is supplied), the negative-sampling
-    table, and the subword cache, loads the compiled kernel (building it on
-    first use; a missing C compiler raises ``RuntimeError``), then runs
+    Builds the vocabulary (unless one is supplied), then this run's own
+    discard probabilities, negative-sampling table and subword cache, loads
+    the compiled kernel (building it on first use; a missing C compiler
+    raises ``RuntimeError``), then runs
     ``config.epochs`` passes with ``config.workers`` workers over equal
     byte-range slices of the corpus. ``stats.duration`` covers the training
     passes only, not vocabulary I/O.
@@ -661,11 +574,9 @@ def train(
         raise ValueError("tracing requires workers=1")
     if vocab is None:
         vocab = build_vocab_from_file(corpus_path, config.min_count)
-    vocab.set_discard_probs(config.t)
-    if vocab.negative_table is None:
-        build_negative_table(vocab)
+    discard = vocab.discard_probs(config.t)
+    table = build_negative_table(vocab)
     subwords = build_subword_cache(vocab, config.subword_config())
-    rows = (subwords.offsets, subwords.ids.astype(np.int32))
     # Also loads (or builds) the kernel: outside the timed passes, once for all forks.
     index = kernel.VocabIndex(vocab.words)
 
@@ -689,26 +600,64 @@ def train(
 
     total_expected = vocab.total_tokens * config.epochs
     slots = (_shared_array if shared else np.zeros)((config.workers, kernel.N_SLOTS), np.float64)
+    arrays = dict(
+        inp=model.input_matrix,
+        out=model.output_matrix,
+        row_off=subwords.offsets,
+        rows=subwords.ids.astype(np.int32),
+        table=table,
+        discard=discard,
+        slots=slots,
+    )
+    skipgram, bag_rule = SCHEDULES[config.variant or config.model_kind]
     out = progress_out if progress_out is not None else sys.stderr
     t0 = time.monotonic()
 
-    if config.workers == 1:
-        job = _kernel_job(config, model, vocab, rows, slots, 0, trace is not None)
+    def run_slice(worker_id: int, trace: TraceSink | None, progress_out: IO[str] | None) -> None:
+        """Train this worker's byte slice of the corpus for every epoch in one kernel job."""
+        job = kernel.ChunkTrainer(
+            arrays,
+            seed=config.seed % 2**64,
+            worker=worker_id,
+            lr0=config.lr0,
+            lr_floor=LR_FLOOR,
+            clamp=SIGMOID_CLAMP,
+            total=total_expected,
+            n_workers=config.workers,
+            table_size=table.size,
+            dim=config.dim,
+            max_rows=int(np.diff(subwords.offsets).max()),
+            negatives=config.negatives,
+            ws=config.ws,
+            window_max=VARIABLE_WINDOW_MAX,
+            retry_limit=NEGATIVE_RETRY_LIMIT,
+            skipgram=int(skipgram),
+            bag_rule=KERNEL_BAG_RULES.index(bag_rule),
+            subsample=int((discard > 0).any()),
+            trace=int(trace is not None),
+        )
+        on_events = None
+        if trace is not None:
+            on_events = functools.partial(_emit_events, sink=trace, variant=config.variant)
+        last_print = time.monotonic()
         try:
-            _run_worker(
-                job,
-                index,
-                config,
-                corpus_path,
-                vocab,
-                0,
-                slots,
-                trace,
-                out if progress else None,
-                t0,
-            )
+            for _epoch in range(config.epochs):
+                for block_start, block in iter_slice_chunks(corpus_path, worker_id, config.workers):
+                    try:
+                        encoded = index.encode(block)
+                    except UnicodeDecodeError as exc:
+                        raise CorpusDecodeError(exc, block_start) from None
+                    job.train_chunk(*encoded, on_events)
+                    if progress_out is not None:
+                        now = time.monotonic()
+                        if now - last_print >= 0.5:
+                            _print_progress(progress_out, slots, total_expected, config.lr0, t0)
+                            last_print = now
         finally:
             job.close()
+
+    if config.workers == 1:
+        run_slice(0, trace, out if progress else None)
     else:
         errors = _shared_array((config.workers, _ERROR_BYTES), np.uint8)
         ctx = multiprocessing.get_context("fork")
@@ -717,10 +666,7 @@ def train(
 
             def _child(worker_id: int = w) -> None:
                 try:
-                    job = _kernel_job(config, model, vocab, rows, slots, worker_id, False)
-                    _run_worker(
-                        job, index, config, corpus_path, vocab, worker_id, slots, None, None, t0
-                    )
+                    run_slice(worker_id, None, None)
                 except BaseException as exc:
                     text = f"{type(exc).__name__}: {exc}".encode()[:_ERROR_BYTES]
                     errors[worker_id, : len(text)] = np.frombuffer(text, dtype=np.uint8)

@@ -1,7 +1,10 @@
 import io
 import json
+import os
+import struct
 
 import numpy as np
+import pytest
 
 import cbos.corpus as corpus_module
 import cbos.trainer as trainer_module
@@ -160,6 +163,15 @@ def test_train_invalid_dim_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("-lr", "inf"), ("-lr", "nan"), ("-t", "nan"), ("-t", "inf")])
+def test_train_non_finite_rate_or_threshold_is_usage_error(tmp_path, capsys, flag, value):
+    corpus = write_corpus(tmp_path)
+    prefix = str(tmp_path / "m")
+    assert run(train_args(corpus, prefix, flag, value)) == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert not os.path.exists(prefix + ".cbos") and not os.path.exists(prefix + ".vec")
+
+
 def test_train_missing_corpus_is_runtime_error(tmp_path, capsys):
     args = train_args(str(tmp_path / "absent.txt"), str(tmp_path / "m"))
     assert run(args) == EXIT_RUNTIME
@@ -299,6 +311,17 @@ def test_eval_analogy_missing_files_are_runtime_errors(tmp_path):
         run(["eval-analogy", "-model", "nope.cbos", "-questions", "nope.txt"])
         == EXIT_RUNTIME
     )
+
+
+def test_impossible_ngram_header_is_runtime_error(tmp_path, capsys):
+    _, _, model_path = geometry_model(tmp_path)
+    with open(model_path, "r+b") as handle:
+        handle.seek(28)  # the header's minn, maxn
+        handle.write(struct.pack("<II", 5, 2))
+    questions = write_questions(tmp_path)
+    assert run(["nn", "-model", model_path, "-word", "apple"]) == EXIT_RUNTIME
+    assert run(["eval-analogy", "-model", model_path, "-questions", questions]) == EXIT_RUNTIME
+    assert "invalid header" in capsys.readouterr().err
 
 
 def test_eval_analogy_rejects_non_model_file(tmp_path):

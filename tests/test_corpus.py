@@ -140,11 +140,14 @@ def test_discard_probability_rejects_bad_inputs():
         discard_probability(0.5, 0.0)
 
 
-def test_set_discard_probs_matches_scalar_function(tiny_vocab):
-    probs = tiny_vocab.set_discard_probs(0.05)
+def test_discard_probs_matches_scalar_function(tiny_vocab):
+    probs = tiny_vocab.discard_probs(0.05)
     for i, _word in enumerate(tiny_vocab.words):
         freq = tiny_vocab.counts[i] / tiny_vocab.total_tokens
         assert probs[i] == pytest.approx(discard_probability(freq, 0.05))
+    # a pure function of the threshold: the vocabulary keeps nothing
+    assert (tiny_vocab.discard_probs(1.0) == 0).all()
+    np.testing.assert_array_equal(tiny_vocab.discard_probs(0.05), probs)
 
 
 def test_negative_table_floor_fill_two_words():
@@ -152,7 +155,7 @@ def test_negative_table_floor_fill_two_words():
     table = build_negative_table(vocab, table_size=9)
     # weights [4^0.75, 1] -> cum [0.7388, 1] -> bounds [6, 9]
     assert table.tolist() == [0, 0, 0, 0, 0, 0, 1, 1, 1]
-    assert vocab.negative_table is table
+    assert set(vars(vocab)) == {"words", "counts", "word2id", "total_tokens"}  # nothing cached
 
 
 def test_negative_table_equal_counts():

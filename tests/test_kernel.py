@@ -22,7 +22,7 @@ from cbos.trainer import (
     TrainConfig,
     Trainer,
     encode_chunk,
-    iter_slice_sentences,
+    iter_slice_chunks,
     lr_schedule,
     train,
 )
@@ -291,6 +291,20 @@ def test_import_and_queries_work_without_a_compiler(tmp_path):
     assert "capitals" in proc.stdout
 
 
+def test_kernel_compiles_without_warnings(tmp_path):
+    # -c, not -fsyntax-only: GCC reports unmarked switch fall-through only when it generates code
+    compiler = kernel._compiler()
+    if compiler is None:
+        pytest.skip("no C compiler on PATH")
+    source = tmp_path / "kernel.c"
+    source.write_text(kernel.C_SOURCE)
+    flags = [*kernel.FLAGS, "-Wall", "-Wextra", "-Wshadow", "-Werror", "-c"]
+    proc = subprocess.run(
+        [compiler, *flags, str(source), "-o", str(tmp_path / "kernel.o")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- kernel against the Python reference -------------------------------------
 
 
@@ -327,10 +341,12 @@ def reference_run(config, path, vocab):
     trainer = Trainer(model, vocab, config, trace=events.append)
     total = vocab.total_tokens * config.epochs
     for _epoch in range(config.epochs):
-        for tokens in iter_slice_sentences(path, 0, 1):
-            ids, _scanned = trainer.prepare_sentence(tokens)
-            if ids:
-                trainer.train_sentence(ids, lr_schedule(config.lr0, trainer.tokens_seen, total))
+        for _, block in iter_slice_chunks(path, 0, 1):
+            ids, offsets = encode_chunk(block, vocab.word2id)
+            for start, end in zip(offsets[:-1], offsets[1:]):
+                kept, _scanned = trainer.prepare_sentence(ids[start:end])
+                if kept:
+                    trainer.train_sentence(kept, lr_schedule(config.lr0, trainer.tokens_seen, total))
     return model, trainer, events
 
 

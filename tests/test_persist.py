@@ -214,6 +214,27 @@ def test_bin_header_vocab_count_mismatch(tmp_path):
         load_bin(str(path))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"minn": 5, "maxn": 2},
+        {"minn": 0, "maxn": 4},
+        {"minn": 4, "maxn": 0},
+        {"bucket": 0},
+        {"dim": 0},
+    ],
+)
+def test_bin_rejects_header_no_model_can_have(tmp_path, fields):
+    _, _, _, path = saved_bytes(tmp_path, minn=3, maxn=6, bucket=64)
+    data = bytearray(path.read_bytes())
+    layout = {"bucket": ("<Q", 16), "dim": ("<I", 24), "minn": ("<I", 28), "maxn": ("<I", 32)}
+    for name, value in fields.items():
+        struct.pack_into(layout[name][0], data, layout[name][1], value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="invalid header"):
+        load_bin(str(path))
+
+
 # -- atomic writes ---------------------------------------------------------
 
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cbos.trainer as trainer_module
-from cbos.corpus import CorpusDecodeError, build_negative_table, build_vocab
+from cbos.corpus import CorpusDecodeError, build_negative_table, build_vocab, build_vocab_from_file
+from cbos.persist import save_bin
 from cbos.subword import build_subword_cache
 from cbos.trainer import (
     CBOS_VARIANTS,
@@ -22,7 +23,6 @@ from cbos.trainer import (
     Trainer,
     encode_chunk,
     iter_slice_chunks,
-    iter_slice_sentences,
     lr_schedule,
     sample_window,
     train,
@@ -55,8 +55,6 @@ def make_trainer(vocab=None, rng=None, trace=None, **overrides):
     config = TrainConfig(**cfg)
     if vocab is None:
         vocab = distinct_vocab()
-    if vocab.negative_table is None:
-        build_negative_table(vocab, table_size=64)
     from cbos.model import init_model
 
     model = init_model(
@@ -127,7 +125,11 @@ def test_config_variant_requires_cbos():
         {"negatives": -1},
         {"seed": -1},
         {"lr0": 0.0},
+        {"lr0": float("inf")},
+        {"lr0": float("nan")},
         {"t": 0.0},
+        {"t": float("inf")},
+        {"t": float("nan")},
         {"minn": 4, "maxn": 2},
         {"minn": 2, "maxn": 3, "bucket": 0},
     ],
@@ -399,7 +401,6 @@ def test_draw_negatives_zero_consumes_no_rng():
 
 def test_draw_negatives_never_returns_target():
     vocab = build_vocab(["a", "a", "a", "b"])
-    build_negative_table(vocab, table_size=16)
     tr = make_trainer(vocab=vocab, negatives=4, rng=np.random.default_rng(5))
     for _ in range(300):
         negs = tr.draw_negatives(0)  # id 0 dominates the table
@@ -409,7 +410,6 @@ def test_draw_negatives_never_returns_target():
 
 def test_draw_negatives_single_word_vocab_gives_up():
     vocab = build_vocab(["only", "only"])
-    build_negative_table(vocab, table_size=8)
     tr = make_trainer(vocab=vocab, negatives=3, rng=np.random.default_rng(0))
     assert tr.draw_negatives(0).size == 0
 
@@ -417,7 +417,6 @@ def test_draw_negatives_single_word_vocab_gives_up():
 def test_update_counts_negatives_do_not_change_counts():
     rec = Recorder()
     vocab = distinct_vocab()
-    build_negative_table(vocab, table_size=64)
     tr = make_trainer(vocab=vocab, trace=rec, negatives=3, rng=np.random.default_rng(1))
     tr.cbos_step(SENTENCE, 4, 2, 0.01)
     k = window_size(len(SENTENCE), 4, 2)
@@ -427,9 +426,16 @@ def test_update_counts_negatives_do_not_change_counts():
 # -- sentence preparation --------------------------------------------------
 
 
+def encoded(tokens):
+    """One sentence over distinct_vocab() as encode_chunk yields it: int32 ids, -1 out of vocabulary."""
+    ids, offsets = encode_chunk(" ".join(tokens).encode(), distinct_vocab().word2id)
+    assert offsets.tolist() == [0, len(tokens)]
+    return ids
+
+
 def test_prepare_sentence_maps_and_counts():
     tr = make_trainer(rng=ScriptedRng([]))
-    ids, scanned = tr.prepare_sentence(["w00", "unknown", "w03", "w01"])
+    ids, scanned = tr.prepare_sentence(encoded(["w00", "unknown", "w03", "w01"]))
     assert ids == [0, 3, 1]
     assert scanned == 3  # only in-vocab tokens count
     assert tr.tokens_seen == 3
@@ -438,41 +444,53 @@ def test_prepare_sentence_maps_and_counts():
 def test_prepare_sentence_inactive_subsampling_uses_no_rng():
     # ScriptedRng raises on .random(); passing means no draw happened
     tr = make_trainer(rng=ScriptedRng([]), t=1.0)
-    tr.prepare_sentence(["w00"] * 50)
+    tr.prepare_sentence(encoded(["w00"] * 50))
 
 
 def test_prepare_sentence_aggressive_subsampling_drops_tokens():
     tr = make_trainer(t=1e-8, rng=np.random.default_rng(0))
-    ids, scanned = tr.prepare_sentence(["w00"] * 400)
+    ids, scanned = tr.prepare_sentence(encoded(["w00"] * 400))
     assert scanned == 400
     assert len(ids) < 400
 
 
 def test_trainer_subsamples_at_its_own_threshold():
-    # a vocabulary that still holds the discard probabilities of another threshold
-    stale, fresh = distinct_vocab(), distinct_vocab()
-    stale.set_discard_probs(0.1)
-    tokens = [w for w in fresh.words for _ in range(20)]
-    kept = [make_trainer(vocab=v, t=1e-4).prepare_sentence(tokens) for v in (stale, fresh)]
-    np.testing.assert_array_equal(stale.discard_probs, fresh.discard_probs)
-    assert kept[0] == kept[1]
+    # one vocabulary serves two trainers at different thresholds
+    shared = distinct_vocab()
+    sentence = encoded([w for w in shared.words for _ in range(20)])
+    loose = make_trainer(vocab=shared, t=0.1)
+    strict = make_trainer(vocab=shared, t=1e-4)
+    for trainer, t in ((strict, 1e-4), (loose, 0.1)):
+        alone = make_trainer(vocab=distinct_vocab(), t=t)
+        assert trainer.prepare_sentence(sentence) == alone.prepare_sentence(sentence)
+    assert len(strict.prepare_sentence(sentence)[0]) < len(loose.prepare_sentence(sentence)[0])
 
 
 def test_prepare_sentence_deterministic_for_seed():
     a = make_trainer(t=1e-8, rng=np.random.default_rng(4))
     b = make_trainer(t=1e-8, rng=np.random.default_rng(4))
-    tokens = ["w00", "w01", "w02"] * 30
-    assert a.prepare_sentence(tokens) == b.prepare_sentence(tokens)
+    sentence = encoded(["w00", "w01", "w02"] * 30)
+    assert a.prepare_sentence(sentence) == b.prepare_sentence(sentence)
 
 
 # -- corpus slicing --------------------------------------------------------
+
+
+def slice_sentences(path, worker_id, n_workers):
+    """Token lists of the non-blank lines in the blocks of one worker's slice."""
+    return [
+        line.split()
+        for _, block in iter_slice_chunks(str(path), worker_id, n_workers)
+        for line in block.decode("utf-8").split("\n")
+        if line.split()
+    ]
 
 
 def test_iter_slice_handles_blank_and_unterminated_lines(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("alpha beta\n\ngamma\ndelta epsilon zeta\nomega")
     expected = [["alpha", "beta"], ["gamma"], ["delta", "epsilon", "zeta"], ["omega"]]
-    assert list(iter_slice_sentences(str(path), 0, 1)) == expected
+    assert slice_sentences(path, 0, 1) == expected
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3, 4, 7])
@@ -482,7 +500,7 @@ def test_iter_slice_partitions_exactly(tmp_path, n_workers):
     path.write_text("\n".join(lines) + "\n")
     merged = []
     for w in range(n_workers):
-        merged.extend(iter_slice_sentences(str(path), w, n_workers))
+        merged.extend(slice_sentences(path, w, n_workers))
     assert merged == [line.split() for line in lines]
 
 
@@ -498,7 +516,7 @@ def test_iter_slice_partition_property(tmp_path_factory, lines, n_workers):
     path.write_text("".join(" ".join(line) + "\n" for line in lines))
     merged = []
     for w in range(n_workers):
-        merged.extend(iter_slice_sentences(str(path), w, n_workers))
+        merged.extend(slice_sentences(path, w, n_workers))
     assert merged == [line for line in lines if line]
 
 
@@ -568,6 +586,21 @@ def test_train_single_worker_deterministic(tmp_path):
     np.testing.assert_array_equal(a.model.output_matrix, b.model.output_matrix)
     assert a.stats.updates == b.stats.updates
     assert a.stats.avg_loss == b.stats.avg_loss
+
+
+def test_train_builds_its_own_sampling_tables(tmp_path):
+    path = small_corpus(tmp_path)
+    vocab = build_vocab_from_file(path, 1)
+    build_negative_table(vocab, table_size=64)  # a caller's table: the run must not pick it up
+
+    def model_bytes(config, **kwargs):
+        result = train(config, path, **kwargs)
+        out = tmp_path / "m.cbos"
+        save_bin(result.model, result.vocab, config, str(out))
+        return out.read_bytes()
+
+    for config in (quick_config(), quick_config(t=0.01)):  # one vocabulary, two thresholds
+        assert model_bytes(config, vocab=vocab) == model_bytes(config)
 
 
 def test_train_seed_changes_result(tmp_path):
@@ -645,7 +678,7 @@ def test_train_never_runs_the_python_reference(tmp_path, monkeypatch, workers):
     def reference(*args, **kwargs):
         raise AssertionError("train() ran the Python reference")
 
-    for name in ("Trainer", "ns_update", "compute_hidden", "encode_chunk", "_sentences"):
+    for name in ("Trainer", "ns_update", "compute_hidden", "encode_chunk"):
         monkeypatch.setattr(trainer_module, name, reference)  # forked workers inherit it
     path = small_corpus(tmp_path)
     result = train(quick_config(workers=workers, minn=3, maxn=6, bucket=500), path)
