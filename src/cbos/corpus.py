@@ -131,8 +131,8 @@ class Vocab:
 
     def discard_probs(self, threshold: float) -> np.ndarray:
         """The subsampling discard probability of each word id at ``threshold``."""
-        if threshold <= 0:
-            raise ValueError(f"subsample threshold must be positive, got {threshold}")
+        if not 0 < threshold < math.inf:
+            raise ValueError(f"subsample threshold must be positive and finite, got {threshold}")
         freqs = self.frequencies()
         return 1.0 - np.minimum(1.0, np.sqrt(threshold / freqs) + threshold / freqs)
 
@@ -173,8 +173,8 @@ def discard_probability(word_freq: float, threshold: float) -> float:
     """
     if not 0.0 < word_freq <= 1.0:
         raise ValueError(f"word frequency must be in (0, 1], got {word_freq}")
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     ratio = threshold / word_freq
     keep = min(1.0, math.sqrt(ratio) + ratio)
     return 1.0 - keep

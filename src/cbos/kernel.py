@@ -727,8 +727,8 @@ class VocabIndex:
     of at least twice the word count, keyed by the FNV-1a-64 hash of each
     word's UTF-8 bytes; ``blob`` and ``offsets`` hold those bytes for the
     exact comparison. The table is built by one kernel call, so the hash
-    exists only in C. Build it once before forking workers: they share it,
-    while each process grows its own encode buffers.
+    exists only in C. Build it once before the workers start: they share it
+    read-only, and each call of :meth:`encode` returns arrays of its own.
     """
 
     def __init__(self, words: list[str]):
@@ -746,28 +746,26 @@ class VocabIndex:
             mask=self.table.size - 1,
         )
         self._lib.cbos_index_build(ctypes.byref(self.struct))
-        self._ids = np.empty(0, dtype=np.int32)
-        self._sentences = np.empty(0, dtype=np.int64)
 
     def encode(self, block: bytes) -> tuple[np.ndarray, np.ndarray]:
         """Token ids (-1 out of vocabulary) and sentence offsets of one block of text.
 
         The same arrays as :func:`cbos.trainer.encode_chunk`: lines split on
         ``\\n``, tokens as ``str.split()`` splits them, and blank lines make
-        no sentence. They are views of buffers that the next call reuses.
-        Invalid UTF-8 raises the decoder's own :class:`UnicodeDecodeError`.
+        no sentence. Each call allocates the arrays it returns, so threads
+        may share one index. Invalid UTF-8 raises the decoder's own
+        :class:`UnicodeDecodeError`.
         """
-        room = len(block) // 2 + 1  # every token but the last ends at a separator byte
-        if self._ids.size < room:
-            self._ids = np.empty(room, dtype=np.int32)
-            self._sentences = np.empty(room + 1, dtype=np.int64)
+        # every token but the last ends at a separator byte
+        ids = np.empty(len(block) // 2 + 1, dtype=np.int32)
+        sentences = np.empty(ids.size + 1, dtype=np.int64)
         n = self._lib.cbos_encode_block(
-            ctypes.byref(self.struct), block, len(block), self._ids.ctypes.data, self._sentences.ctypes.data
+            ctypes.byref(self.struct), block, len(block), ids.ctypes.data, sentences.ctypes.data
         )
         if n < 0:
             block.decode("utf-8")  # raises the decoder's error for byte -n - 1
             raise AssertionError(f"the kernel rejected byte {-n - 1} of valid UTF-8")
-        return self._ids[: self._sentences[n]], self._sentences[: n + 1]
+        return ids[: sentences[n]], sentences[: n + 1]
 
 
 # -- build and load --------------------------------------------------------

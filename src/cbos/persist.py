@@ -92,8 +92,10 @@ def load_vec(path: str) -> tuple[list[str], np.ndarray]:
             count, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise FormatError(f"{path}: non-integer header: {exc}") from exc
+        if count < 0 or dim < 1:
+            raise FormatError(f"{path}: header '{count} {dim}' needs a count >= 0 and a dim >= 1")
         words: list[str] = []
-        matrix = np.empty((count, dim), dtype=np.float32)
+        rows: list[np.ndarray] = []  # grown per line read: the header's count allocates nothing
         for i in range(count):
             fields = handle.readline().split()
             if len(fields) != dim + 1:
@@ -102,8 +104,8 @@ def load_vec(path: str) -> tuple[list[str], np.ndarray]:
                     f"got {len(fields)}"
                 )
             words.append(fields[0])
-            matrix[i] = [float(x) for x in fields[1:]]
-    return words, matrix
+            rows.append(np.array([float(x) for x in fields[1:]], dtype=np.float32))
+    return words, np.array(rows, dtype=np.float32).reshape(count, dim)
 
 
 def _write_block(out: BinaryIO, payload: bytes) -> None:

@@ -26,12 +26,13 @@ Both draw from :class:`cbos.kernel.CounterRng` streams, one each for
 windows, negatives, subsampling and bag-rule choices, so at ``workers=1``
 they make the same predictions in the same order.
 
-Multi-worker training is asynchronous (hogwild style): workers are forked
-processes sharing the embedding matrices through anonymous shared memory,
-updating rows without locks. Lost or torn updates are tolerated; bit-exact
-reproducibility is guaranteed only at ``workers=1``. Token, loss and
-per-phase update totals stay exact: each worker adds to its own row of a
-shared slot array.
+Multi-worker training is asynchronous (hogwild style): worker 0 runs in the
+calling thread and the others in threads of their own, all updating the one
+pair of embedding matrices without locks. The kernel calls release the GIL,
+so the workers train in parallel. Lost or torn updates are tolerated;
+bit-exact reproducibility is guaranteed only at ``workers=1``. Token, loss
+and per-phase update totals stay exact: each worker adds to its own row of
+a shared slot array.
 """
 
 from __future__ import annotations
@@ -39,13 +40,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-import mmap
-import multiprocessing
-import multiprocessing.connection
 import os
-import signal
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, IO, Iterator
 
@@ -63,10 +62,10 @@ from .model import (
     SIGMOID_CLAMP,
     EmbeddingModel,
     compute_hidden,
-    initialize_matrices,
+    init_model,
     ns_update,
 )
-from .subword import SubwordCache, SubwordConfig, build_subword_cache
+from .subword import SubwordConfig, build_subword_cache
 
 MODEL_KINDS = ("cbow", "skipgram", "cbos")
 CBOS_VARIANTS = (
@@ -272,12 +271,13 @@ class Trainer:
     """Python reference of one worker: rng streams, sampling, and the schedule step.
 
     A trainer never owns the matrices; it builds its own discard
-    probabilities and negative table, as ``train`` does. :meth:`step`
-    operates on a ``sentence`` given as a list of vocab ids (already
-    subsampled) and returns the summed loss of the updates it issued. By
-    default it draws from the four :class:`~cbos.kernel.CounterRng` streams
-    of worker 0, as the kernel does at ``workers=1``; a given ``rng``
-    (anything with ``integers`` and ``random``) serves every draw instead.
+    probabilities, negative table and subword cache, as ``train`` does.
+    :meth:`step` operates on a ``sentence`` given as a list of vocab ids
+    (already subsampled) and returns the summed loss of the updates it
+    issued. By default it draws from the four
+    :class:`~cbos.kernel.CounterRng` streams of worker 0, as the kernel
+    does at ``workers=1``; a given ``rng`` (anything with ``integers`` and
+    ``random``) serves every draw instead.
     """
 
     def __init__(
@@ -287,7 +287,6 @@ class Trainer:
         config: TrainConfig,
         rng=None,
         trace: TraceSink | None = None,
-        subwords: SubwordCache | None = None,
     ):
         self.model = model
         self.cfg = config
@@ -298,9 +297,7 @@ class Trainer:
         # in the kernel's stream order: WINDOW, NEGATIVE, SUBSAMPLE, DROP
         self.window_rng, self.negative_rng, self.subsample_rng, self.drop_rng = streams
         self.trace = trace
-        if subwords is None:
-            subwords = build_subword_cache(vocab, config.subword_config())
-        self.subwords = subwords
+        self.subwords = build_subword_cache(vocab, config.subword_config())
         self._discard = vocab.discard_probs(config.t)
         self._subsample_active = bool((self._discard > 0).any())
         self._table = build_negative_table(vocab)
@@ -484,13 +481,6 @@ class TrainResult:
     stats: TrainStats
 
 
-def _shared_array(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """Zero-filled array in anonymous shared memory, visible across fork()."""
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    buf = mmap.mmap(-1, max(nbytes, 1))
-    return np.frombuffer(buf, dtype=dtype, count=int(np.prod(shape))).reshape(shape)
-
-
 # Each worker's kernel adds only to its own row of the (workers, kernel.N_SLOTS)
 # slot array, so the column sums are exact totals (counts stay exact in
 # float64 below 2**53).
@@ -529,24 +519,6 @@ def _emit_events(records: np.ndarray, sink: TraceSink, variant: str | None) -> N
         i += 4 + n
 
 
-_ERROR_BYTES = 1024  # room for one worker's "ExcType: message"
-
-
-def _worker_failure(proc, message: bytes) -> str | None:
-    """What a finished worker process reports, or None when it succeeded."""
-    if proc.exitcode == 0:
-        return None
-    text = message.rstrip(b"\0").decode("utf-8", "replace")
-    if text:
-        return f"{proc.name}: {text}"
-    if proc.exitcode < 0:
-        try:
-            return f"{proc.name} killed by {signal.Signals(-proc.exitcode).name}"
-        except ValueError:
-            return f"{proc.name} killed by signal {-proc.exitcode}"
-    return f"{proc.name} exited with code {proc.exitcode}"
-
-
 def train(
     config: TrainConfig,
     corpus_path: str,
@@ -567,8 +539,10 @@ def train(
     passes only, not vocabulary I/O.
 
     Tracing requires ``workers=1``; multi-worker runs share matrices without
-    locks and are not bit-reproducible. A failed worker's exception text
-    (or the signal that killed it) reaches the ``RuntimeError`` raised here.
+    locks and are not bit-reproducible. When a worker fails, the others stop
+    before their next block, and the lowest-numbered failing worker's own
+    exception is raised here, so an error reads the same at every worker
+    count. A signal that kills the process ends every worker with it.
     """
     if trace is not None and config.workers != 1:
         raise ValueError("tracing requires workers=1")
@@ -577,29 +551,14 @@ def train(
     discard = vocab.discard_probs(config.t)
     table = build_negative_table(vocab)
     subwords = build_subword_cache(vocab, config.subword_config())
-    # Also loads (or builds) the kernel: outside the timed passes, once for all forks.
+    # Also loads (or builds) the kernel: outside the timed passes, once for all workers.
     index = kernel.VocabIndex(vocab.words)
-
-    n_rows = len(vocab) + config.bucket_rows
-    shared = config.workers > 1
-    if shared:
-        input_matrix = _shared_array((n_rows, config.dim), np.float32)
-        output_matrix = _shared_array((len(vocab), config.dim), np.float32)
-    else:
-        input_matrix = np.empty((n_rows, config.dim), dtype=np.float32)
-        output_matrix = np.empty((len(vocab), config.dim), dtype=np.float32)
-    model = EmbeddingModel(
-        input_matrix=input_matrix,
-        output_matrix=output_matrix,
-        dim=config.dim,
-        bucket=config.bucket_rows,
-        minn=config.minn,
-        maxn=config.maxn,
+    model = init_model(
+        len(vocab), config.bucket_rows, config.dim, config.seed, minn=config.minn, maxn=config.maxn
     )
-    initialize_matrices(model, config.seed)
 
     total_expected = vocab.total_tokens * config.epochs
-    slots = (_shared_array if shared else np.zeros)((config.workers, kernel.N_SLOTS), np.float64)
+    slots = np.zeros((config.workers, kernel.N_SLOTS), dtype=np.float64)
     arrays = dict(
         inp=model.input_matrix,
         out=model.output_matrix,
@@ -611,6 +570,7 @@ def train(
     )
     skipgram, bag_rule = SCHEDULES[config.variant or config.model_kind]
     out = progress_out if progress_out is not None else sys.stderr
+    stop = threading.Event()  # set by any worker's failure; every worker checks it before each block
     t0 = time.monotonic()
 
     def run_slice(worker_id: int, trace: TraceSink | None, progress_out: IO[str] | None) -> None:
@@ -643,50 +603,35 @@ def train(
         try:
             for _epoch in range(config.epochs):
                 for block_start, block in iter_slice_chunks(corpus_path, worker_id, config.workers):
+                    if stop.is_set():
+                        return
                     try:
                         encoded = index.encode(block)
                     except UnicodeDecodeError as exc:
                         raise CorpusDecodeError(exc, block_start) from None
                     job.train_chunk(*encoded, on_events)
+                    del encoded  # free this block's ids before the next block's are allocated
                     if progress_out is not None:
                         now = time.monotonic()
                         if now - last_print >= 0.5:
                             _print_progress(progress_out, slots, total_expected, config.lr0, t0)
                             last_print = now
+        except BaseException:
+            stop.set()
+            raise
         finally:
             job.close()
 
-    if config.workers == 1:
-        run_slice(0, trace, out if progress else None)
-    else:
-        errors = _shared_array((config.workers, _ERROR_BYTES), np.uint8)
-        ctx = multiprocessing.get_context("fork")
-        procs = []
-        for w in range(config.workers):
-
-            def _child(worker_id: int = w) -> None:
-                try:
-                    run_slice(worker_id, None, None)
-                except BaseException as exc:
-                    text = f"{type(exc).__name__}: {exc}".encode()[:_ERROR_BYTES]
-                    errors[worker_id, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-                    raise
-
-            proc = ctx.Process(target=_child, name=f"cbos-worker-{w}")
-            proc.start()
-            procs.append(proc)
-        running = {p.sentinel for p in procs}
-        while running:  # wakes as soon as the last worker exits
-            running.difference_update(multiprocessing.connection.wait(running, timeout=0.25))
-            if progress:
-                _print_progress(out, slots, total_expected, config.lr0, t0)
-        for p in procs:
-            p.join()
-        failed = [
-            f for p, message in zip(procs, errors) if (f := _worker_failure(p, message.tobytes()))
-        ]
-        if failed:
-            raise RuntimeError(f"training workers failed: {'; '.join(failed)}")
+    # Worker 0 runs here; at workers=1 no thread starts, as the pool starts its threads on submit.
+    with ThreadPoolExecutor(max(1, config.workers - 1)) as pool:
+        others = [pool.submit(run_slice, w, None, None) for w in range(1, config.workers)]
+        try:
+            run_slice(0, trace, out if progress else None)
+            for future in others:  # waits for each worker in turn, raising its own exception
+                future.result()
+        except BaseException:  # also stops the others when an interrupt comes during the wait
+            stop.set()
+            raise
 
     duration = time.monotonic() - t0
     if progress:

@@ -133,11 +133,14 @@ def test_discard_probability_monotone_in_frequency():
     assert probs == sorted(probs)
 
 
-def test_discard_probability_rejects_bad_inputs():
+def test_discard_probability_rejects_bad_inputs(tiny_vocab):
     with pytest.raises(ValueError):
         discard_probability(0.0, 1e-4)
-    with pytest.raises(ValueError):
-        discard_probability(0.5, 0.0)
+    for threshold in (0.0, -1e-4, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            discard_probability(0.5, threshold)
+        with pytest.raises(ValueError):
+            tiny_vocab.discard_probs(threshold)
 
 
 def test_discard_probs_matches_scalar_function(tiny_vocab):

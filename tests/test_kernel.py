@@ -194,6 +194,16 @@ def test_index_capacity_and_repeated_words():
     assert_encodes_like_encode_chunk(index, {"a": 2, "b": 1}, b"a b c a")
 
 
+def test_encode_returns_arrays_of_its_own():
+    index, word2id = parity_index()
+    first = "the cat sat\nnaïve a cat\n".encode()
+    ids, offsets = index.encode(first)
+    index.encode(b"sat a\n")  # shorter, so a reused buffer would be overwritten in place
+    want_ids, want_offsets = encode_chunk(first, word2id)
+    assert ids.tolist() == want_ids.tolist()
+    assert offsets.tolist() == want_offsets.tolist()
+
+
 INVALID_UTF8 = {
     "stray continuation byte": b"ok \x80 tail",
     "invalid start byte": b"word \xff\n",

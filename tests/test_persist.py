@@ -92,6 +92,19 @@ def test_load_vec_rejects_malformed_files(tmp_path):
     with pytest.raises(FormatError, match="line 2"):
         load_vec(str(short_row))
 
+    # no model has these shapes ("3 0" over three bare words would read as a 3 x 0 matrix)
+    for header, rows in (("-1 5", ""), ("3 0", "a\nb\nc\n"), ("2 -4", "a\nb\n")):
+        impossible = tmp_path / "d.vec"
+        impossible.write_text(f"{header}\n{rows}")
+        with pytest.raises(FormatError, match=f"header '{header}'"):
+            load_vec(str(impossible))
+
+    # a count no memory could hold: the rows are read before any of it is allocated
+    short_file = tmp_path / "e.vec"
+    short_file.write_text(f"{10**15} 3\nword 0.1 0.2 0.3\n")
+    with pytest.raises(FormatError, match="line 3: expected 4 fields, got 0"):
+        load_vec(str(short_file))
+
 
 # -- .cbos binary format ---------------------------------------------------
 

@@ -1,7 +1,9 @@
 import json
 import io
+import multiprocessing
 import os
-import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cbos.trainer as trainer_module
+from cbos import kernel
 from cbos.corpus import CorpusDecodeError, build_negative_table, build_vocab, build_vocab_from_file
 from cbos.persist import save_bin
 from cbos.subword import build_subword_cache
@@ -664,13 +667,22 @@ def test_train_trace_requires_single_worker(tmp_path):
         train(quick_config(workers=2), path, trace=Recorder())
 
 
-def test_train_multi_worker_updates_shared_model(tmp_path):
-    path = small_corpus(tmp_path, n_lines=60)
-    for workers in (2, 4):  # 4 workers outnumber the cores of small machines
-        result = train(quick_config(workers=workers, epochs=2), path)
-        assert result.stats.tokens_scanned == result.vocab.total_tokens * 2
-        assert result.stats.updates > 0
-        assert not (result.model.output_matrix == 0).all()
+def test_train_multi_worker_updates_shared_model(tmp_path, monkeypatch):
+    monkeypatch.setattr(trainer_module, "CHUNK_BYTES", 256)  # many blocks per worker
+    path = tmp_path / "ragged.txt"  # lines of 3 to 12 words, so blocks differ in token count
+    path.write_text("".join(" ".join(["sun", "moon", "star"] * (i % 4 + 1)) + "\n" for i in range(200)))
+    path = str(path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch between almost every bytecode
+    try:
+        for workers in (2, 4):  # 4 workers outnumber the cores of small machines
+            result = train(quick_config(workers=workers, epochs=2), path)
+            # exact although the workers race: each adds to its own slot row and encodes into its own arrays
+            assert result.stats.tokens_scanned == result.vocab.total_tokens * 2
+            assert result.stats.updates > 0
+            assert not (result.model.output_matrix == 0).all()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -679,35 +691,61 @@ def test_train_never_runs_the_python_reference(tmp_path, monkeypatch, workers):
         raise AssertionError("train() ran the Python reference")
 
     for name in ("Trainer", "ns_update", "compute_hidden", "encode_chunk"):
-        monkeypatch.setattr(trainer_module, name, reference)  # forked workers inherit it
+        monkeypatch.setattr(trainer_module, name, reference)  # worker threads read the same module
     path = small_corpus(tmp_path)
     result = train(quick_config(workers=workers, minn=3, maxn=6, bucket=500), path)
     assert result.stats.tokens_scanned == result.vocab.total_tokens * 2
     assert result.stats.updates > 0
 
 
-def raise_in_worker(path, worker_id, n_workers):
-    raise ValueError("no such token table")
+def test_train_starts_no_process(tmp_path, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError("train() started a process")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)  # every context's Process
+    result = train(quick_config(workers=2), small_corpus(tmp_path))
+    assert result.stats.tokens_scanned == result.vocab.total_tokens * 2
 
 
-def kill_worker(path, worker_id, n_workers):
-    os.kill(os.getpid(), signal.SIGKILL)
+def test_worker_failure_reaches_parent(tmp_path, monkeypatch):
+    def raise_in_worker(path, worker_id, n_workers):
+        raise ValueError(f"no token table in worker {worker_id}")
+
+    monkeypatch.setattr(trainer_module, "iter_slice_chunks", raise_in_worker)  # worker threads read it too
+    with pytest.raises(ValueError, match="^no token table in worker 0$"):  # the lowest-numbered failure
+        train(quick_config(workers=2), small_corpus(tmp_path))
 
 
-@pytest.mark.parametrize(
-    "broken,expected",
-    [
-        (raise_in_worker, "cbos-worker-0: ValueError: no such token table"),
-        (kill_worker, "cbos-worker-0 killed by SIGKILL"),
-    ],
-)
-def test_worker_failure_reaches_parent(tmp_path, monkeypatch, broken, expected):
-    monkeypatch.setattr(trainer_module, "iter_slice_chunks", broken)  # forked workers inherit it
-    path = small_corpus(tmp_path)
-    with pytest.raises(RuntimeError) as info:
-        train(quick_config(workers=2), path)
-    assert expected in str(info.value)
-    assert expected.replace("worker-0", "worker-1") in str(info.value)
+@pytest.mark.parametrize("failing,error", [(1, ValueError), (0, KeyboardInterrupt)])
+def test_failing_worker_stops_the_others(tmp_path, monkeypatch, failing, error):
+    monkeypatch.setattr(trainer_module, "CHUNK_BYTES", 64)  # a block or two per line
+    path = small_corpus(tmp_path, n_lines=240)
+    assert sum(1 for _ in iter_slice_chunks(path, 1 - failing, 2)) >= 50
+    failed = threading.Event()
+    served = []
+
+    def slices(path, worker_id, n_workers):
+        for block in iter_slice_chunks(path, worker_id, n_workers):
+            if worker_id == failing:
+                raise error(f"worker {failing} fails on its first block")
+            # The other worker takes a block only once the failing one has released its job.
+            assert failed.wait(timeout=10), f"worker {failing} never finished failing"
+            served.append(block)
+            yield block
+
+    close = kernel.ChunkTrainer.close
+
+    def closing(job):
+        close(job)
+        if job.job.worker == failing:
+            failed.set()
+
+    monkeypatch.setattr(trainer_module, "iter_slice_chunks", slices)
+    monkeypatch.setattr(kernel.ChunkTrainer, "close", closing)
+    with pytest.raises(error, match=f"worker {failing} fails on its first block"):
+        train(quick_config(workers=2, epochs=1), path)
+    assert len(served) <= 2  # the other worker stopped before its next block, not after its slice
 
 
 def test_train_decode_error_gives_the_file_offset(corrupt_corpus, monkeypatch):
@@ -719,9 +757,10 @@ def test_train_decode_error_gives_the_file_offset(corrupt_corpus, monkeypatch):
     assert (info.value.start, info.value.end) == (offset, offset + 1)
     message = f"'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
     assert str(info.value) == message
-    with pytest.raises(RuntimeError) as info:  # the bad byte is in the second worker's slice
+    with pytest.raises(CorpusDecodeError) as info:  # the bad byte is in the second worker's slice
         train(quick_config(workers=2), path, vocab=vocab)
-    assert f"cbos-worker-1: CorpusDecodeError: {message}" in str(info.value)
+    assert (info.value.start, info.value.end) == (offset, offset + 1)
+    assert str(info.value) == message
 
 
 def test_train_progress_line_format(tmp_path):
