@@ -12,6 +12,15 @@ builds the unit vectors of the whole vocabulary once from
 :func:`cbos.model.composed_word_matrix`; :func:`nearest_neighbors` sorts
 only the words that reach the k-th best score, which gives the same list,
 ties to the lower id, as sorting the whole vocabulary.
+
+:func:`evaluate` scores its questions in blocks
+(:meth:`VectorSpace.predict_ids`): one float64 matrix product per block
+into a single score buffer of at most ``SCORE_BLOCK_BYTES``, so memory
+stays bounded at any vocabulary size. A matrix product may round a score
+differently from the per-question product (by ~1e-15), so a question
+whose best candidate has a rival within ``NEAR_TIE`` is answered by
+:meth:`VectorSpace.predict_id` instead, which settles exact ties to the
+lower id. Every prediction is therefore the one ``predict_id`` gives.
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ from .subword import subword_ids
 logger = logging.getLogger(__name__)
 
 NORM_EPSILON = 1e-12
+SCORE_BLOCK_BYTES = 4 << 20  # size of the score buffer of one predict_ids call
+NEAR_TIE = 1e-10  # rivals this close to the best blocked score are re-scored one by one
+_NO_CANDIDATE = "no candidate with a usable vector"
 SYNTACTIC_PREFIX = "gram"
 SPLITS = ("semantic", "syntactic")
 
@@ -176,7 +188,8 @@ class VectorSpace:
         norms = np.linalg.norm(matrix, axis=1)
         self.degenerate = norms < NORM_EPSILON
         norms[self.degenerate] = 1.0
-        self.unit = matrix / norms[:, np.newaxis]
+        matrix /= norms[:, np.newaxis]
+        self.unit = matrix
 
     def predict_id(self, ia: int, ib: int, ic: int) -> int:
         """Argmax-cosine answer id for norm(b) - norm(a) + norm(c)."""
@@ -189,8 +202,46 @@ class VectorSpace:
         scores[self.degenerate] = -np.inf
         best = int(np.argmax(scores))  # first maximum, so ties pick the lower id
         if not np.isfinite(scores[best]):
-            raise DegenerateVectorError("no candidate with a usable vector")
+            raise DegenerateVectorError(_NO_CANDIDATE)
         return best
+
+    def predict_ids(self, ia: np.ndarray, ib: np.ndarray, ic: np.ndarray) -> np.ndarray:
+        """:meth:`predict_id` of every question ``(ia[i], ib[i], ic[i])``, or -1 where it raises.
+
+        Questions are scored in blocks of rows of one reused float64 buffer
+        of at most ``SCORE_BLOCK_BYTES`` (at least one row). A question
+        whose best blocked score has a rival within ``NEAR_TIE`` (or is
+        -inf or NaN), or that has a degenerate query word, is answered by
+        :meth:`predict_id` itself.
+        """
+        ia, ib, ic = (np.asarray(x, dtype=np.int64) for x in (ia, ib, ic))
+        vocab_size = self.unit.shape[0]
+        block = max(1, SCORE_BLOCK_BYTES // (8 * max(vocab_size, 1)))
+        buf = np.empty((block, vocab_size))
+        dead = np.flatnonzero(self.degenerate)
+        predicted = np.empty(ia.size, dtype=np.int64)
+        for start in range(0, ia.size, block):
+            a, b, c = (x[start : start + block] for x in (ia, ib, ic))
+            scores = buf[: a.size]
+            np.matmul(self.unit[b] - self.unit[a] + self.unit[c], self.unit.T, out=scores)
+            rows = np.arange(a.size)
+            for ids in (a, b, c):
+                scores[rows, ids] = -np.inf
+            scores[:, dead] = -np.inf
+            best = scores.argmax(axis=1)  # first maximum, so ties pick the lower id
+            top = scores[rows, best]
+            scores[rows, best] = -np.inf
+            # false as well where top is -inf (no candidate left) or NaN
+            exact = (scores.max(axis=1) < top - NEAR_TIE) & ~(
+                self.degenerate[a] | self.degenerate[b] | self.degenerate[c]
+            )
+            for r in np.flatnonzero(~exact):
+                try:
+                    best[r] = self.predict_id(int(a[r]), int(b[r]), int(c[r]))
+                except DegenerateVectorError:
+                    best[r] = -1
+            predicted[start : start + a.size] = best
+        return predicted
 
 
 @dataclass
@@ -314,32 +365,37 @@ def evaluate(
     exactly.
     """
     space = VectorSpace(model, vocab)
+    questions = list(questions)
+    ids = np.array(
+        [[vocab.word2id.get(w, -1) for w in q.words] for q in questions], dtype=np.int64
+    ).reshape(-1, 4)
+    oov = (ids < 0).any(axis=1)
+    degenerate = np.zeros_like(oov)
+    degenerate[~oov] = space.degenerate[ids[~oov]].any(axis=1)
+    predicted = np.full(len(questions), -1, dtype=np.int64)
+    asked = ~(oov | degenerate)
+    predicted[asked] = space.predict_ids(*ids[asked, :3].T)
     results: dict[str, CategoryResult] = {}
-    for q in questions:
+    for q, is_oov, is_degenerate, guess, expected in zip(
+        questions, oov.tolist(), degenerate.tolist(), predicted.tolist(), ids[:, 3].tolist()
+    ):
         cat = results.get(q.category)
         if cat is None:
             cat = CategoryResult(q.category, category_split(q.category, split_map))
             results[q.category] = cat
-        ids = [vocab.id_of(w) for w in q.words]
-        if any(i is None for i in ids):
+        if is_oov:
             cat.skipped_oov += 1
-            continue
-        ia, ib, ic, expected = ids
-        if any(space.degenerate[i] for i in ids):
+        elif is_degenerate:
             cat.skipped_degenerate += 1
             logger.warning(
                 "skipping %r: near-zero vector norm in (%s)", q, ", ".join(q.words)
             )
-            continue
-        try:
-            predicted = space.predict_id(ia, ib, ic)
-        except DegenerateVectorError as exc:
+        elif guess < 0:
             cat.skipped_degenerate += 1
-            logger.warning("skipping %r: %s", q, exc)
-            continue
-        cat.attempted += 1
-        if predicted == expected:
-            cat.correct += 1
+            logger.warning("skipping %r: %s", q, _NO_CANDIDATE)
+        else:
+            cat.attempted += 1
+            cat.correct += guess == expected
     return AnalogyReport(list(results.values()))
 
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbos.analogy as analogy_module
 from cbos.analogy import (
+    NEAR_TIE,
     NORM_EPSILON,
     AnalogyParseError,
     AnalogyQuestion,
@@ -23,8 +25,8 @@ from cbos.analogy import (
     nearest_neighbors,
     word_vector,
 )
-from cbos.corpus import build_vocab
-from cbos.model import EmbeddingModel, init_model, model_subword_config
+from cbos.corpus import Vocab, build_vocab
+from cbos.model import EmbeddingModel, composed_word_matrix, init_model, model_subword_config
 from cbos.subword import subword_ids
 
 
@@ -329,6 +331,12 @@ def test_evaluate_all_oov_accuracy_undefined(royal):
     assert report.total_acc is None
 
 
+def test_evaluate_on_an_empty_vocabulary_skips_every_question():
+    model = model_from_rows(np.zeros((0, 3)))
+    report = evaluate(model, Vocab([], []), questions(("a", "b", "c", "d", "cat")))
+    assert report.total.skipped_oov == 1 and report.total.attempted == 0
+
+
 def test_evaluate_skips_degenerate_and_warns(caplog):
     vocab = vocab_of(["a", "b", "c", "d", "zero"])
     rows = np.array(
@@ -376,6 +384,158 @@ def test_evaluate_order_does_not_change_totals(royal):
     rev = evaluate(model, vocab, list(reversed(qs)))
     assert fwd.total.correct == rev.total.correct
     assert fwd.total.attempted == rev.total.attempted
+
+
+def test_vector_space_units_are_the_rows_divided_by_their_norms():
+    vocab = vocab_of([f"w{i}" for i in range(40)])
+    model = init_model(40, 50, 16, seed=5, minn=2, maxn=3)
+    model.input_matrix[[3, 17]] = 0.0  # words with no n-gram rows stay zero, so degenerate
+    before = model.input_matrix.copy()
+    matrix = composed_word_matrix(model, vocab).astype(np.float64)
+    norms = np.linalg.norm(matrix, axis=1)
+    norms[norms < NORM_EPSILON] = 1.0
+    space = VectorSpace(model, vocab)
+    assert space.unit.tobytes() == (matrix / norms[:, np.newaxis]).tobytes()
+    np.testing.assert_array_equal(model.input_matrix, before)
+
+
+def per_question_evaluate(model, vocab, qs):
+    """Report and warnings from one :meth:`VectorSpace.predict_id` call per question."""
+    space = VectorSpace(model, vocab)
+    results, warnings = {}, []
+    for q in qs:
+        cat = results.setdefault(q.category, CategoryResult(q.category, category_split(q.category)))
+        ids = [vocab.id_of(w) for w in q.words]
+        if None in ids:
+            cat.skipped_oov += 1
+        elif space.degenerate[ids].any():
+            cat.skipped_degenerate += 1
+            warnings.append(f"skipping {q!r}: near-zero vector norm in ({', '.join(q.words)})")
+        else:
+            try:
+                predicted = space.predict_id(*ids[:3])
+            except DegenerateVectorError as exc:
+                cat.skipped_degenerate += 1
+                warnings.append(f"skipping {q!r}: {exc}")
+            else:
+                cat.attempted += 1
+                cat.correct += predicted == ids[3]
+    return AnalogyReport(list(results.values())), warnings
+
+
+def tied_space(seed, n=30, dim=3):
+    """Rows from {-1, 0, 1}: duplicated rows tie exactly and zero rows are degenerate."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-1, 2, size=(n, dim)).astype(np.float32)
+    rows[rng.choice(n, size=3, replace=False)] = 0.0
+    return model_from_rows(rows), vocab_of([f"w{i}" for i in range(n)])
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """Make predict_ids score ``rows`` questions per block over ``vocab_size`` words."""
+
+    def set_rows(rows, vocab_size):
+        monkeypatch.setattr(analogy_module, "SCORE_BLOCK_BYTES", rows * 8 * vocab_size + 7)
+
+    return set_rows
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The id triples that reach :meth:`VectorSpace.predict_id`."""
+    calls = []
+    exact = VectorSpace.predict_id
+
+    def counting(self, ia, ib, ic):
+        calls.append((ia, ib, ic))
+        return exact(self, ia, ib, ic)
+
+    monkeypatch.setattr(VectorSpace, "predict_id", counting)
+    return calls
+
+
+def predict_each(space, ia, ib, ic):
+    """``predict_id`` per question, -1 where it raises."""
+    out = []
+    for a, b, c in zip(ia.tolist(), ib.tolist(), ic.tolist()):
+        try:
+            out.append(space.predict_id(a, b, c))
+        except DegenerateVectorError:
+            out.append(-1)
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_predict_ids_equals_predict_id_per_question(seed, rows, blocks, extra, block_rows, fallbacks):
+    model, vocab = tied_space(seed)
+    space = VectorSpace(model, vocab)
+    count = rows * blocks + extra
+    rng = np.random.default_rng(100 + seed)
+    ia, ib, ic = rng.integers(0, len(vocab), size=(3, count))  # zero rows and repeats included
+    expected = predict_each(space, ia, ib, ic)
+    block_rows(rows, len(vocab))
+    got = space.predict_ids(ia, ib, ic)
+    assert got.tolist() == expected
+    assert got.dtype == np.int64
+    # a question that predict_id refuses (a zero query row, or no candidate left) takes the exact path
+    refused = {q for q, e in zip(zip(ia.tolist(), ib.tolist(), ic.tolist()), expected) if e < 0}
+    assert refused <= set(fallbacks)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 1000])
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_equals_a_predict_id_loop(seed, rows, block_rows, fallbacks, caplog):
+    model, vocab = tied_space(seed)
+    rng = np.random.default_rng(200 + seed)
+    pool = vocab.words + ["ghost"]  # one out-of-vocabulary word
+    qs = [
+        AnalogyQuestion(*(pool[i] for i in rng.choice(len(pool), size=4, replace=False)), f"cat{i % 3}")
+        for i in range(61)
+    ]
+    expected, warnings = per_question_evaluate(model, vocab, qs)
+    fallbacks.clear()
+    block_rows(rows, len(vocab))
+    with caplog.at_level(logging.WARNING, logger="cbos.analogy"):
+        report = evaluate(model, vocab, qs)
+    assert report.to_dict() == expected.to_dict()
+    assert [r.getMessage() for r in caplog.records] == warnings
+    assert report.total.skipped_oov > 0 and report.total.skipped_degenerate > 0
+    assert fallbacks  # exact ties among duplicated rows reached predict_id
+
+
+def test_evaluate_counts_a_question_with_only_degenerate_candidates(block_rows, caplog):
+    # a single degenerate candidate: unless masked, its score 0 would win the block outright
+    vocab = vocab_of(["a", "b", "c", "zero"])
+    model = model_from_rows([[1, 0], [0, 1], [1, 1], [0, 0]])
+    qs = questions(("a", "b", "c", "a", "cat"), ("b", "c", "a", "b", "cat"), ("a", "c", "b", "b", "cat"))
+    expected, warnings = per_question_evaluate(model, vocab, qs)
+    for rows_per_block in (1, 2, 3):
+        block_rows(rows_per_block, len(vocab))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cbos.analogy"):
+            report = evaluate(model, vocab, qs)
+        assert report.to_dict() == expected.to_dict()
+        assert report.total.skipped_degenerate == 3 and report.total.attempted == 0
+        assert [r.getMessage() for r in caplog.records] == warnings
+        assert all("no candidate with a usable vector" in w for w in warnings)
+
+
+def test_near_tie_is_settled_by_predict_id(fallbacks):
+    # query = unit(b) = (1, 0); w3 and w4 score within 2e-12 of each other, the
+    # higher id scoring higher, so the answer is not the lowest near-best id
+    vocab = vocab_of(["a", "b", "c", "w3", "w4", "far"])
+    space = VectorSpace(model_from_rows([[0, 1], [1, 0], [0, 1], [1, 2e-6], [1, 1e-6], [-1, 0]]), vocab)
+    unit = space.unit
+    assert 0 < unit[4] @ unit[1] - unit[3] @ unit[1] < NEAR_TIE
+    expected = space.predict_id(0, 1, 2)
+    fallbacks.clear()
+    assert space.predict_ids(np.array([0]), np.array([1]), np.array([2])).tolist() == [expected]
+    assert expected == 4
+    assert fallbacks == [(0, 1, 2)]
 
 
 # -- report formatting -----------------------------------------------------

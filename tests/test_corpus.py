@@ -107,30 +107,49 @@ def test_dump_tsv_format(tiny_vocab, capsys):
     assert len(lines) == len(tiny_vocab)
 
 
+def zipf_vocab(n=1000):
+    """``n`` words with Zipf counts, from far above to far below any threshold."""
+    counts = np.floor(1e6 / np.arange(1, n + 1) ** 1.05).astype(np.int64)
+    return Vocab([f"w{i}" for i in range(n)], counts)
+
+
+def scalar_discard_probs(vocab, threshold):
+    """The oracle: :func:`discard_probability` of every word, one call each."""
+    return [discard_probability(c / vocab.total_tokens, threshold) for c in vocab.counts.tolist()]
+
+
 def test_discard_probability_worked_value():
     # keep = sqrt(1e-4/0.01) + 1e-4/0.01 = 0.1 + 0.01, discard = 0.89
-    assert discard_probability(0.01, 1e-4) == pytest.approx(0.89)
+    vocab = Vocab(["rest", "w"], [99, 1])  # "w" has frequency 0.01
+    probs = vocab.discard_probs(1e-4)
+    assert probs[1] == pytest.approx(0.89)
+    assert probs.tolist() == scalar_discard_probs(vocab, 1e-4)
 
 
 def test_discard_probability_zero_for_rare_words():
     # keep saturates at 1 once sqrt(t/f) + t/f >= 1
-    assert discard_probability(1e-5, 1e-4) == 0.0
-    assert discard_probability(1e-4, 1e-4) == 0.0
+    vocab = Vocab(["big", "at", "below"], [99_989, 10, 1])  # frequencies 1e-4 and 1e-5
+    probs = vocab.discard_probs(1e-4)
+    assert probs[0] > 0.0
+    assert probs[1:].tolist() == [0.0, 0.0]
+    assert probs.tolist() == scalar_discard_probs(vocab, 1e-4)
 
 
 @hypothesis.given(
-    st.floats(min_value=1e-9, max_value=1.0),
+    st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=50),
     st.floats(min_value=1e-9, max_value=1.0),
 )
-def test_discard_probability_is_a_probability(freq, threshold):
-    p = discard_probability(freq, threshold)
-    assert 0.0 <= p < 1.0
+def test_discard_probability_is_a_probability(counts, threshold):
+    vocab = Vocab([f"w{i}" for i in range(len(counts))], counts)
+    probs = vocab.discard_probs(threshold)
+    assert ((0.0 <= probs) & (probs < 1.0)).all()
+    assert probs.tolist() == scalar_discard_probs(vocab, threshold)
 
 
 def test_discard_probability_monotone_in_frequency():
-    t = 1e-4
-    probs = [discard_probability(f, t) for f in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
-    assert probs == sorted(probs)
+    probs = zipf_vocab().discard_probs(1e-4)
+    assert (probs[:-1] >= probs[1:]).all()  # ids run from the most frequent word down
+    assert probs[0] > 0.0 and probs[-1] == 0.0
 
 
 def test_discard_probability_rejects_bad_inputs(tiny_vocab):
@@ -143,14 +162,14 @@ def test_discard_probability_rejects_bad_inputs(tiny_vocab):
             tiny_vocab.discard_probs(threshold)
 
 
-def test_discard_probs_matches_scalar_function(tiny_vocab):
-    probs = tiny_vocab.discard_probs(0.05)
-    for i, _word in enumerate(tiny_vocab.words):
-        freq = tiny_vocab.counts[i] / tiny_vocab.total_tokens
-        assert probs[i] == pytest.approx(discard_probability(freq, 0.05))
-    # a pure function of the threshold: the vocabulary keeps nothing
-    assert (tiny_vocab.discard_probs(1.0) == 0).all()
-    np.testing.assert_array_equal(tiny_vocab.discard_probs(0.05), probs)
+def test_discard_probs_matches_scalar_function():
+    vocab = zipf_vocab()
+    for threshold in (1e-6, 1e-5, 1e-4, 1e-3, 0.05, 1.0):
+        probs = vocab.discard_probs(threshold)
+        assert probs.tolist() == scalar_discard_probs(vocab, threshold)
+        # a pure function of the threshold: the vocabulary keeps nothing
+        np.testing.assert_array_equal(vocab.discard_probs(threshold), probs)
+    assert (vocab.discard_probs(1.0) == 0).all()
 
 
 def test_negative_table_floor_fill_two_words():
