@@ -20,6 +20,7 @@ from .corpus import (
     build_negative_table,
     build_vocab,
     build_vocab_from_file,
+    negative_bounds,
     normalize_text,
 )
 from .model import EmbeddingModel, composed_word_matrix, init_model, ns_loss, ns_update
@@ -48,6 +49,7 @@ __all__ = [
     "load_bin",
     "load_vec",
     "nearest_neighbors",
+    "negative_bounds",
     "normalize_text",
     "ns_loss",
     "ns_update",

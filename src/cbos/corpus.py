@@ -5,9 +5,12 @@ The training pipeline expects plain UTF-8 text with one sentence per line.
 stripped); the remaining functions build the word inventory and derive from
 it the two sampling tables every training schedule relies on: per-word
 discard probabilities for frequent-word subsampling
-(:meth:`Vocab.discard_probs`) and the unigram^power table used to draw
-negative samples (:func:`build_negative_table`). A training run builds both
-for itself and keeps them only while it runs.
+(:meth:`Vocab.discard_probs`) and the unigram^power distribution of negative
+samples, as the end slot of each word's run in a virtual table of
+``NEGATIVE_TABLE_SIZE`` slots (:func:`negative_bounds`, V int64 entries). A
+training run builds both for itself and keeps them only while it runs. The
+table itself (:func:`build_negative_table`, 40 MB) is built only as the
+reference that the tests compare the kernel's slot -> word map with.
 """
 
 from __future__ import annotations
@@ -180,18 +183,20 @@ def discard_probability(word_freq: float, threshold: float) -> float:
     return 1.0 - keep
 
 
-def build_negative_table(
+def negative_bounds(
     vocab: Vocab,
     power: float = NEGATIVE_POWER,
     table_size: int | None = None,
 ) -> np.ndarray:
-    """Build the negative-sampling table: word ids repeated ∝ count^power.
+    """The end slot of each word's run in the negative-sampling table (int64).
 
     The table has ``table_size`` slots, by default ``NEGATIVE_TABLE_SIZE``
-    or one per word when the vocabulary is larger. Word ``i`` occupies the
-    slots between ``floor(size * cum[i-1])`` and ``floor(size * cum[i])``,
-    where ``cum`` is the cumulative normalized ``count^power`` distribution,
-    so drawing uniform indices samples the unigram^power distribution.
+    or one per word when the vocabulary is larger. Word ``w`` owns the slots
+    ``[bounds[w - 1], bounds[w])`` (from 0 for the first word), where
+    ``bounds[w] = floor(size * cum[w])`` and ``cum`` is the cumulative
+    normalized ``count^power`` distribution, so a uniform slot samples the
+    unigram^power distribution. A rare word may own no slot; ``bounds[-1]``
+    is the slot count.
     """
     if len(vocab) == 0:
         raise EmptyVocabError("cannot build a negative table for an empty vocab")
@@ -208,6 +213,18 @@ def build_negative_table(
     cum /= cum[-1]
     # The epsilon keeps exact rational boundaries (e.g. 8/9 of 9 slots) from
     # landing one slot short after float rounding.
-    bounds = np.floor(cum * table_size + 1e-6).astype(np.int64)
-    slots = np.diff(np.concatenate(([0], bounds)))
-    return np.repeat(np.arange(len(vocab), dtype=np.int32), slots)
+    return np.floor(cum * table_size + 1e-6).astype(np.int64)
+
+
+def build_negative_table(
+    vocab: Vocab,
+    power: float = NEGATIVE_POWER,
+    table_size: int | None = None,
+) -> np.ndarray:
+    """The negative-sampling table itself: slot ``x`` holds the id of the word that owns it.
+
+    The expansion of :func:`negative_bounds` (same arguments), kept as the
+    reference of the slot -> word map that training reads from the bounds.
+    """
+    bounds = negative_bounds(vocab, power, table_size)
+    return np.repeat(np.arange(len(vocab), dtype=np.int32), np.diff(bounds, prepend=0))

@@ -11,6 +11,13 @@ and the SGD step of :func:`cbos.model.ns_update`, and the per-sentence
 linear learning rate. The Python :func:`cbos.trainer.encode_chunk` and
 :class:`cbos.trainer.Trainer` stay as their references.
 
+A negative draw takes a uniform slot of the unigram^0.75 table of
+:func:`cbos.corpus.build_negative_table` and maps it to the word that owns
+it, through the run ends of :func:`cbos.corpus.negative_bounds` and a guide
+table of at most ~2V 8-byte entries (:func:`negative_guide`). The table
+itself (10M slots, 40 MB) is never built, and each draw gives the word it
+holds.
+
 The C source below is compiled on first use with the local C compiler into
 ``$XDG_CACHE_HOME/cbos`` (default ``~/.cache/cbos``; a directory in the temp
 dir when that is not writable), under a name keyed by a hash of the source
@@ -62,13 +69,21 @@ enum { WINDOW, NEGATIVE, SUBSAMPLE, DROP, N_STREAMS };
 enum { TOKENS, LOSS, SKIPGRAM_UPDATES, BAG_UPDATES, N_SLOTS };
 enum { NO_BAG, FULL_BAG, DROP_ONE, NEXT_WORD, CENTRAL_WORD, VARIABLE_WINDOW, NON_REPEATED };
 
+/* Negative sampling: one entry per bucket of 2^shift slots of the table. */
+typedef struct {
+    int32_t word;              /* the word that owns the bucket's first slot */
+    uint16_t end[2];           /* where the runs of word and word + 1 end, counted from that slot
+                                  and capped at the bucket width (at most 2^15) */
+} Guide;
+
 /* Every field is 8 bytes wide, so the ctypes mirror needs no padding rules. */
 typedef struct {
     float *inp;                /* (V + bucket) x dim input rows */
     float *out;                /* V x dim output rows */
     const int64_t *row_off;    /* input rows of word w: rows[row_off[w] .. row_off[w + 1]) */
     const int32_t *rows;
-    const int32_t *table;      /* negative-sampling table */
+    const int64_t *bounds;     /* negative sampling: word w owns slots [bounds[w - 1], bounds[w]) */
+    const Guide *guide;        /* bucket g holds slots g << guide_shift onwards (cbos_negative_guide) */
     const double *discard;     /* per-word subsampling discard probability */
     double *slots;             /* n_workers x N_SLOTS, this worker adds to its own row */
     int32_t *events;           /* trace records, grown here, freed by cbos_release */
@@ -82,7 +97,8 @@ typedef struct {
     double clamp;
     int64_t total;             /* tokens of all epochs, for the learning rate */
     int64_t n_workers;
-    int64_t table_size;
+    int64_t table_size;        /* negative-sampling slots, bounds[V - 1] */
+    int64_t guide_shift;
     int64_t dim;
     int64_t max_rows;          /* most input rows of one word */
     int64_t negatives;
@@ -131,6 +147,25 @@ static double uniform(uint64_t key, uint64_t *counter)
 }
 
 #define DRAW_BELOW(J, S, s, n) below((S)->key[s], &(J)->counter[s], (n))
+
+/* The word that owns slot x. One read of x's guide entry settles the slots
+   of the bucket's first two runs; past them (three or more runs meet in the
+   bucket), step past every run that ends at or before x. */
+static inline int32_t slot_word(const int64_t *bounds, const Guide *guide, int64_t shift, int64_t x)
+{
+    const Guide *g = guide + (x >> shift);
+    const int64_t off = x & (((int64_t)1 << shift) - 1);
+    int32_t w = g->word + (off >= g->end[0]);
+    if (off >= g->end[1])
+        for (w = g->word + 2; bounds[w] <= x; w++)
+            ;
+    return w;
+}
+
+static inline int32_t draw_negative(Job *J, Scratch *S)
+{
+    return slot_word(J->bounds, J->guide, J->guide_shift, DRAW_BELOW(J, S, NEGATIVE, J->table_size));
+}
 
 static float dot(const float *a, const float *b, int64_t n)
 {
@@ -200,7 +235,7 @@ static int predict(Job *J, Scratch *S, int32_t phase, int64_t pos,
     int64_t n_out = 1;
     S->outs[0] = target;
     for (int64_t k = 0; k < J->negatives; k++)
-        S->draws[k] = J->table[DRAW_BELOW(J, S, NEGATIVE, J->table_size)];
+        S->draws[k] = draw_negative(J, S);
     for (int64_t k = 0; k < J->negatives; k++) {
         int32_t v = S->draws[k];
         if (v != target) {
@@ -208,7 +243,7 @@ static int predict(Job *J, Scratch *S, int32_t phase, int64_t pos,
             continue;
         }
         for (int64_t r = 0; r < J->retry_limit; r++) {
-            v = J->table[DRAW_BELOW(J, S, NEGATIVE, J->table_size)];
+            v = draw_negative(J, S);
             if (v != target) {
                 S->outs[n_out++] = v;
                 break;
@@ -552,6 +587,33 @@ int64_t cbos_encode_block(const Index *X, const uint8_t *s, int64_t n, int32_t *
     return n_sentences;
 }
 
+/* Fill the entries of the n_guide buckets of 2^shift slots (shift <= 15); the
+   last bucket must start below the slot count bounds[n_words - 1]. */
+void cbos_negative_guide(const int64_t *bounds, int64_t n_words, int64_t shift, Guide *guide, int64_t n_guide)
+{
+    const int64_t width = (int64_t)1 << shift;
+    int32_t w = 0;
+    for (int64_t g = 0; g < n_guide; g++) {
+        const int64_t start = g << shift;
+        while (bounds[w] <= start)
+            w++;
+        guide[g].word = w;
+        for (int i = 0; i < 2; i++) {
+            int64_t end = bounds[w + i < n_words ? w + i : w] - start;
+            guide[g].end[i] = (uint16_t)(end < width ? end : width);
+        }
+    }
+}
+
+/* The negative-sampling map from outside: the word training draws for each
+   slot x[0..n) (for tests). */
+void cbos_negative_words(const int64_t *bounds, const Guide *guide, int64_t shift,
+                         const int64_t *x, int64_t n, int32_t *words)
+{
+    for (int64_t i = 0; i < n; i++)
+        words[i] = slot_word(bounds, guide, shift, x[i]);
+}
+
 /* The RNG from outside: n draws in [low, high), then n uniforms on [0, 1),
    from one stream (the twin of CounterRng, for tests). */
 void cbos_rng_draws(uint64_t seed, int64_t worker, int64_t stream, int64_t low, int64_t high,
@@ -621,7 +683,8 @@ class Job(ctypes.Structure):
         ("out", ctypes.c_void_p),
         ("row_off", ctypes.c_void_p),
         ("rows", ctypes.c_void_p),
-        ("table", ctypes.c_void_p),
+        ("bounds", ctypes.c_void_p),
+        ("guide", ctypes.c_void_p),
         ("discard", ctypes.c_void_p),
         ("slots", ctypes.c_void_p),
         ("events", ctypes.POINTER(ctypes.c_int32)),
@@ -636,6 +699,7 @@ class Job(ctypes.Structure):
         ("total", ctypes.c_int64),
         ("n_workers", ctypes.c_int64),
         ("table_size", ctypes.c_int64),
+        ("guide_shift", ctypes.c_int64),
         ("dim", ctypes.c_int64),
         ("max_rows", ctypes.c_int64),
         ("negatives", ctypes.c_int64),
@@ -649,12 +713,16 @@ class Job(ctypes.Structure):
     ]
 
 
+# Mirror of the C ``Guide`` struct: one entry per bucket of negative-sampling slots.
+GUIDE = np.dtype([("word", np.int32), ("end", np.uint16, 2)])
+
 _ARRAY_FIELDS = {
     "inp": np.float32,
     "out": np.float32,
     "row_off": np.int64,
     "rows": np.int32,
-    "table": np.int32,
+    "bounds": np.int64,
+    "guide": GUIDE,
     "discard": np.float64,
     "slots": np.float64,
 }
@@ -664,6 +732,24 @@ def _pointer(array: np.ndarray, dtype) -> int:
     if array.dtype != dtype or not array.flags.c_contiguous:
         raise ValueError(f"kernel needs a C-contiguous {np.dtype(dtype)} array, got {array.dtype}")
     return array.ctypes.data
+
+
+def negative_guide(bounds: np.ndarray) -> tuple[np.ndarray, int]:
+    """The guide table over the run ends ``bounds`` of :func:`cbos.corpus.negative_bounds`, and its shift.
+
+    Bucket ``g`` covers the slots from ``g << shift`` on, with ``shift =
+    min(floor(log2(slots // V)), 15)``, so there are at most ~2V buckets.
+    Its entry holds the word that owns its first slot and where that word's
+    run and the next word's run end, relative to that slot and capped at the
+    bucket width. A draw of slot ``x`` reads only its bucket's entry unless
+    three or more runs meet in the bucket and ``x`` lies past the first two;
+    then the kernel steps through ``bounds``.
+    """
+    size = int(bounds[-1])
+    shift = min((size // bounds.size).bit_length() - 1, 15)
+    guide = np.empty(((size - 1) >> shift) + 1, dtype=GUIDE)
+    load().cbos_negative_guide(_pointer(bounds, np.int64), bounds.size, shift, guide.ctypes.data, guide.size)
+    return guide, shift
 
 
 class ChunkTrainer:
@@ -836,6 +922,14 @@ def load() -> ctypes.CDLL:
         ctypes.POINTER(Index), ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p
     ]
     lib.cbos_encode_block.restype = ctypes.c_int64
+    lib.cbos_negative_guide.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64
+    ]
+    lib.cbos_negative_guide.restype = None
+    lib.cbos_negative_words.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p
+    ]
+    lib.cbos_negative_words.restype = None
     lib.cbos_rng_draws.argtypes = [ctypes.c_uint64] + [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 2
     lib.cbos_rng_draws.restype = None
     return lib

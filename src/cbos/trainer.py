@@ -54,9 +54,9 @@ from . import kernel
 from .corpus import (
     CorpusDecodeError,
     Vocab,
-    build_negative_table,
     build_vocab_from_file,
     iter_line_blocks,
+    negative_bounds,
 )
 from .model import (
     SIGMOID_CLAMP,
@@ -271,7 +271,8 @@ class Trainer:
     """Python reference of one worker: rng streams, sampling, and the schedule step.
 
     A trainer never owns the matrices; it builds its own discard
-    probabilities, negative table and subword cache, as ``train`` does.
+    probabilities, negative-sampling run ends and subword cache, as
+    ``train`` does.
     :meth:`step` operates on a ``sentence`` given as a list of vocab ids
     (already subsampled) and returns the summed loss of the updates it
     issued. By default it draws from the four
@@ -300,7 +301,7 @@ class Trainer:
         self.subwords = build_subword_cache(vocab, config.subword_config())
         self._discard = vocab.discard_probs(config.t)
         self._subsample_active = bool((self._discard > 0).any())
-        self._table = build_negative_table(vocab)
+        self._bounds = negative_bounds(vocab)
         self.loss_sum = 0.0
         self.n_updates = 0
         self.tokens_seen = 0
@@ -309,23 +310,26 @@ class Trainer:
     # -- sampling ----------------------------------------------------------
 
     def draw_negatives(self, target: int) -> np.ndarray:
-        """Sample up to ``negatives`` ids from the table, none equal to ``target``.
+        """Sample up to ``negatives`` ids from the unigram^0.75 table, none equal to ``target``.
 
-        A collision with the target is redrawn up to ``NEGATIVE_RETRY_LIMIT``
-        times, then that slot is dropped (the update simply uses one negative
-        fewer). A single-word vocabulary therefore yields no negatives.
+        Each draw is a uniform slot of the table, read as the word whose run
+        in :func:`cbos.corpus.negative_bounds` holds it. A collision with the
+        target is redrawn up to ``NEGATIVE_RETRY_LIMIT`` times, then that
+        slot is dropped (the update simply uses one negative fewer). A
+        single-word vocabulary therefore yields no negatives.
         """
         k = self.cfg.negatives
         if k == 0:  # draws nothing, so the stream does not move
             return np.empty(0, dtype=np.int32)
-        rng, table = self.negative_rng, self._table
+        rng, bounds = self.negative_rng, self._bounds
+        slots = int(bounds[-1])
         kept: list[int] = []
-        for value in table[rng.integers(0, table.size, size=k)].tolist():
+        for value in np.searchsorted(bounds, rng.integers(0, slots, size=k), side="right").tolist():
             if value != target:
                 kept.append(value)
                 continue
             for _ in range(NEGATIVE_RETRY_LIMIT):
-                redrawn = int(table[rng.integers(0, table.size)])
+                redrawn = int(np.searchsorted(bounds, rng.integers(0, slots), side="right"))
                 if redrawn != target:
                     kept.append(redrawn)
                     break
@@ -531,12 +535,12 @@ def train(
     """Train a model on a one-sentence-per-line corpus file.
 
     Builds the vocabulary (unless one is supplied), then this run's own
-    discard probabilities, negative-sampling table and subword cache, loads
-    the compiled kernel (building it on first use; a missing C compiler
-    raises ``RuntimeError``), then runs
-    ``config.epochs`` passes with ``config.workers`` workers over equal
-    byte-range slices of the corpus. ``stats.duration`` covers the training
-    passes only, not vocabulary I/O.
+    discard probabilities, negative-sampling run ends and subword cache,
+    loads the compiled kernel (building it on first use; a missing C
+    compiler raises ``RuntimeError``) and builds its guide table over the
+    run ends, then runs ``config.epochs`` passes with ``config.workers``
+    workers over equal byte-range slices of the corpus. ``stats.duration``
+    covers the training passes only, not vocabulary I/O.
 
     Tracing requires ``workers=1``; multi-worker runs share matrices without
     locks and are not bit-reproducible. When a worker fails, the others stop
@@ -549,10 +553,11 @@ def train(
     if vocab is None:
         vocab = build_vocab_from_file(corpus_path, config.min_count)
     discard = vocab.discard_probs(config.t)
-    table = build_negative_table(vocab)
+    bounds = negative_bounds(vocab)
     subwords = build_subword_cache(vocab, config.subword_config())
     # Also loads (or builds) the kernel: outside the timed passes, once for all workers.
     index = kernel.VocabIndex(vocab.words)
+    guide, guide_shift = kernel.negative_guide(bounds)
     model = init_model(
         len(vocab), config.bucket_rows, config.dim, config.seed, minn=config.minn, maxn=config.maxn
     )
@@ -564,7 +569,8 @@ def train(
         out=model.output_matrix,
         row_off=subwords.offsets,
         rows=subwords.ids.astype(np.int32),
-        table=table,
+        bounds=bounds,
+        guide=guide,
         discard=discard,
         slots=slots,
     )
@@ -584,7 +590,8 @@ def train(
             clamp=SIGMOID_CLAMP,
             total=total_expected,
             n_workers=config.workers,
-            table_size=table.size,
+            table_size=int(bounds[-1]),
+            guide_shift=guide_shift,
             dim=config.dim,
             max_rows=int(np.diff(subwords.offsets).max()),
             negatives=config.negatives,

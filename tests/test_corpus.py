@@ -15,6 +15,7 @@ from cbos.corpus import (
     build_vocab,
     build_vocab_from_file,
     discard_probability,
+    negative_bounds,
     normalize_text,
 )
 
@@ -172,38 +173,54 @@ def test_discard_probs_matches_scalar_function():
     assert (vocab.discard_probs(1.0) == 0).all()
 
 
+def expand(bounds):
+    """The table the run ends describe, slot by slot: word w fills [bounds[w - 1], bounds[w])."""
+    starts = [0] + bounds[:-1].tolist()
+    return [w for w, (lo, hi) in enumerate(zip(starts, bounds.tolist())) for _ in range(lo, hi)]
+
+
 def test_negative_table_floor_fill_two_words():
     vocab = Vocab(["a", "b"], [4, 1])
-    table = build_negative_table(vocab, table_size=9)
+    bounds = negative_bounds(vocab, table_size=9)
     # weights [4^0.75, 1] -> cum [0.7388, 1] -> bounds [6, 9]
-    assert table.tolist() == [0, 0, 0, 0, 0, 0, 1, 1, 1]
+    assert bounds.dtype == np.int64 and bounds.tolist() == [6, 9]
+    assert build_negative_table(vocab, table_size=9).tolist() == expand(bounds) == [0] * 6 + [1] * 3
     assert set(vars(vocab)) == {"words", "counts", "word2id", "total_tokens"}  # nothing cached
 
 
 def test_negative_table_equal_counts():
     vocab = Vocab(["a", "b", "c"], [1, 1, 1])
-    table = build_negative_table(vocab, table_size=10)
+    bounds = negative_bounds(vocab, table_size=10)
     # exact thirds: floor boundaries 3, 6, 10
-    assert table.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
+    assert bounds.tolist() == [3, 6, 10]
+    assert build_negative_table(vocab, table_size=10).tolist() == expand(bounds) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
+    # 11 equal words in 55 slots: without the epsilon, float rounding gives words 2 and 5 only 4 slots
+    bounds = negative_bounds(Vocab(list("abcdefghijk"), [1] * 11), table_size=55)
+    assert np.diff(bounds, prepend=0).tolist() == [5] * 11
 
 
 def test_negative_table_rejects_undersized_table(tiny_vocab):
-    with pytest.raises(ValueError):
-        build_negative_table(tiny_vocab, table_size=len(tiny_vocab) - 1)
+    for build in (negative_bounds, build_negative_table):
+        with pytest.raises(ValueError):
+            build(tiny_vocab, table_size=len(tiny_vocab) - 1)
 
 
 def test_negative_table_default_size(tiny_vocab, monkeypatch):
-    assert build_negative_table(tiny_vocab).size == NEGATIVE_TABLE_SIZE
-    # a vocabulary larger than the default size gets one slot per word
+    bounds = negative_bounds(tiny_vocab)
+    assert bounds.size == len(tiny_vocab) and bounds[-1] == NEGATIVE_TABLE_SIZE
+    # a vocabulary larger than the default size gets as many slots as words
     monkeypatch.setattr(corpus_module, "NEGATIVE_TABLE_SIZE", 4)
-    assert build_negative_table(tiny_vocab).size == len(tiny_vocab)
+    bounds = negative_bounds(tiny_vocab)
+    assert bounds[-1] == len(tiny_vocab)
+    assert build_negative_table(tiny_vocab).tolist() == expand(bounds)
 
 
 def test_negative_table_rejects_bad_power(tiny_vocab):
-    with pytest.raises(ValueError):
-        build_negative_table(tiny_vocab, power=0.0, table_size=100)
-    with pytest.raises(ValueError):
-        build_negative_table(tiny_vocab, power=1.5, table_size=100)
+    for build in (negative_bounds, build_negative_table):
+        with pytest.raises(ValueError):
+            build(tiny_vocab, power=0.0, table_size=100)
+        with pytest.raises(ValueError):
+            build(tiny_vocab, power=1.5, table_size=100)
 
 
 @hypothesis.given(
@@ -213,12 +230,13 @@ def test_negative_table_rejects_bad_power(tiny_vocab):
 def test_negative_table_proportions(counts, size_extra):
     vocab = Vocab([f"w{i}" for i in range(len(counts))], counts)
     size = 1000 + size_extra
-    table = build_negative_table(vocab, table_size=size)
-    assert table.size == size
-    assert (np.diff(table) >= 0).all()  # ids appear in blocks, ascending
+    bounds = negative_bounds(vocab, table_size=size)
+    assert bounds.size == len(counts) and bounds[-1] == size
+    assert (np.diff(bounds, prepend=0) >= 0).all()  # runs in id order, none negative
+    assert build_negative_table(vocab, table_size=size).tolist() == expand(bounds)
     weights = np.asarray(counts, dtype=float) ** 0.75
     expected = weights / weights.sum() * size
-    got = np.bincount(table, minlength=len(counts))
+    got = np.diff(bounds, prepend=0)
     # floor-based fill puts every boundary within one slot of the exact split
     assert np.abs(got - expected).max() < 2.0
 

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbos.corpus as corpus_module
 import cbos.trainer as trainer_module
 from cbos import kernel
-from cbos.corpus import build_vocab, build_vocab_from_file
+from cbos.corpus import Vocab, build_negative_table, build_vocab, build_vocab_from_file, negative_bounds
 from cbos.model import init_model
 from cbos.persist import save_bin
 from cbos.trainer import (
@@ -69,6 +70,58 @@ def test_counter_rng_streams_differ_and_bounds_match_numpy_surface():
     assert all(0.0 <= x < 1.0 for x in rng.random(50))
     with pytest.raises(ValueError):
         rng.integers(4, 4)
+
+
+# -- negative-sampling map against the table --------------------------------
+
+
+def kernel_words(bounds, slots):
+    """The word the kernel draws for each slot, through the guide table it trains with."""
+    guide, shift = kernel.negative_guide(bounds)
+    assert guide.size <= max(2 * bounds.size, -(-int(bounds[-1]) >> 15))
+    # bucket g: the word of its first slot, and the run ends of that word and the next, capped at its width
+    starts = np.arange(guide.size) << shift
+    first = np.searchsorted(bounds, starts, side="right")
+    ends = bounds[np.minimum(first[:, None] + [0, 1], bounds.size - 1)] - starts[:, None]
+    assert guide["word"].tolist() == first.tolist()
+    assert guide["end"].tolist() == np.minimum(ends, 1 << shift).tolist()
+    words = np.empty(slots.size, dtype=np.int32)
+    kernel.load().cbos_negative_words(
+        bounds.ctypes.data, guide.ctypes.data, shift, slots.ctypes.data, slots.size, words.ctypes.data
+    )
+    return words
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 10**6), min_size=1, max_size=40),
+    extra=st.integers(0, 400),
+)
+def test_kernel_draws_the_tables_word_for_every_slot(counts, extra):
+    vocab = Vocab([f"w{i}" for i in range(len(counts))], counts)
+    # down to one slot per word: shift 0, and rare words own no slot
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "NEGATIVE_TABLE_SIZE", len(counts) + extra)
+        bounds = negative_bounds(vocab)
+        table = build_negative_table(vocab)
+    slots = np.arange(table.size, dtype=np.int64)
+    assert kernel_words(bounds, slots).tolist() == table.tolist()
+    assert np.searchsorted(bounds, slots, side="right").tolist() == table.tolist()
+
+
+@pytest.mark.parametrize("size", [8, 35, 100_000, 10**7])
+def test_negative_guide_steps_past_empty_runs_and_crowded_buckets(size):
+    vocab = Vocab([f"w{i}" for i in range(8)], [10**6, 1, 1, 1, 50, 1, 1, 10**4])
+    bounds = negative_bounds(vocab, table_size=size)
+    guide, shift = kernel.negative_guide(bounds)
+    assert shift == min((size // 8).bit_length() - 1, 15)  # at 10**7 slots, buckets of 2**15
+    assert guide.size == -(-size >> shift)
+    runs = np.diff(bounds, prepend=0)
+    if size < 100_000:
+        assert (runs == 0).any()  # a word that owns no slot
+        assert np.bincount(bounds[:-1] >> shift).max() >= 3  # a bucket four or more runs meet in
+    slots = np.arange(size, dtype=np.int64)
+    assert kernel_words(bounds, slots).tolist() == build_negative_table(vocab, table_size=size).tolist()
 
 
 # -- block encoder against encode_chunk -----------------------------------

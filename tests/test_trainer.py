@@ -4,15 +4,24 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbos.corpus as corpus_module
 import cbos.trainer as trainer_module
 from cbos import kernel
-from cbos.corpus import CorpusDecodeError, build_negative_table, build_vocab, build_vocab_from_file
+from cbos.corpus import (
+    CorpusDecodeError,
+    Vocab,
+    build_negative_table,
+    build_vocab,
+    build_vocab_from_file,
+    negative_bounds,
+)
 from cbos.persist import save_bin
 from cbos.subword import build_subword_cache
 from cbos.trainer import (
@@ -417,6 +426,34 @@ def test_draw_negatives_single_word_vocab_gives_up():
     assert tr.draw_negatives(0).size == 0
 
 
+class SlotRng:
+    """Serves one sized draw of the given slots, then scalar redraws from a queue."""
+
+    def __init__(self, first, redraws=()):
+        self.first, self.redraws = list(first), list(redraws)
+
+    def integers(self, low, high=None, size=None):
+        assert low == 0
+        if size is not None:
+            assert size == len(self.first)
+            return np.array(self.first)
+        return self.redraws.pop(0)
+
+
+def test_draw_negatives_reads_the_tables_word_for_every_slot(monkeypatch):
+    # some words own no slot, and slots on a run end belong to the next word
+    vocab = Vocab([f"w{i}" for i in range(6)], [900, 1, 1, 60, 1, 5])
+    monkeypatch.setattr(corpus_module, "NEGATIVE_TABLE_SIZE", 20)
+    table = build_negative_table(vocab).tolist()
+    assert sorted(set(table)) != list(range(6))
+    tr = make_trainer(vocab=vocab, negatives=20, rng=SlotRng(range(20)))
+    assert tr.draw_negatives(-1).tolist() == table
+    # a draw of the target (word 0, slot 0) is redrawn: twice the target again, then slot x
+    for x in range(20):
+        tr = make_trainer(vocab=vocab, negatives=1, rng=SlotRng([0], [0, 0, x] + [0] * 5))
+        assert tr.draw_negatives(0).tolist() == ([] if table[x] == 0 else [table[x]])
+
+
 def test_update_counts_negatives_do_not_change_counts():
     rec = Recorder()
     vocab = distinct_vocab()
@@ -594,7 +631,7 @@ def test_train_single_worker_deterministic(tmp_path):
 def test_train_builds_its_own_sampling_tables(tmp_path):
     path = small_corpus(tmp_path)
     vocab = build_vocab_from_file(path, 1)
-    build_negative_table(vocab, table_size=64)  # a caller's table: the run must not pick it up
+    negative_bounds(vocab, table_size=64)  # a caller's sampling bounds: the run must not pick them up
 
     def model_bytes(config, **kwargs):
         result = train(config, path, **kwargs)
@@ -604,6 +641,25 @@ def test_train_builds_its_own_sampling_tables(tmp_path):
 
     for config in (quick_config(), quick_config(t=0.01)):  # one vocabulary, two thresholds
         assert model_bytes(config, vocab=vocab) == model_bytes(config)
+
+
+def test_a_run_and_a_reference_trainer_allocate_by_the_vocabulary(tmp_path):
+    # numpy reports its buffers to tracemalloc; a 10M-slot negative table would be 40 MB
+    path = tmp_path / "three.txt"
+    path.write_text("a b c\n" * 20)
+    config = quick_config()
+    kernel.load()  # compiling is not part of a run
+    tracemalloc.start()
+    try:
+        result = train(config, str(path))
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        Trainer(result.model, result.vocab, config)
+        trainer_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.vocab) == 3 and result.stats.updates > 0
+    assert run_peak < 2**21 and trainer_peak < 2**21
 
 
 def test_train_seed_changes_result(tmp_path):
