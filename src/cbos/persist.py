@@ -5,6 +5,14 @@ word and its composed vector per line) and is lossy by construction: floats
 print with fixed decimals and n-gram rows are baked into per-word means.
 The `.cbos` binary is the source of truth, preserving both matrices, the
 vocabulary with counts, and the training configuration bit for bit.
+
+Loading a `.cbos` file parses and checks its header and metadata, then maps
+the file copy-on-write: both matrices are views into that mapping, not
+copies. Their pages are read when first touched (from disk, on a cold page
+cache), writes into them stay private to the process, and the loaded model
+holds one file descriptor until its matrices are dropped. So the file must
+not be truncated or rewritten in place while a loaded model is alive;
+:func:`save_bin` replaces it atomically, which is safe.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import mmap
 import os
 import secrets
 import struct
@@ -166,20 +175,26 @@ def save_bin(model: EmbeddingModel, vocab: Vocab, config: TrainConfig, path: str
         _matrix_bytes(model.output_matrix).tofile(out)
 
 
-def _read_matrix(handle: BinaryIO, rows: int, dim: int, what: str) -> np.ndarray:
+def _matrix_end(offset: int, size: int, rows: int, dim: int, what: str) -> int:
+    """End offset of a ``rows x dim`` float32 matrix at ``offset`` in ``size`` bytes."""
     expected = rows * dim
-    offset = handle.tell()
-    data = np.fromfile(handle, dtype="<f4", count=expected)
-    if data.size != expected:
+    got = min(expected, (size - offset) // 4)
+    if got != expected:
         raise TruncatedFileError(
-            f"truncated at byte {offset + data.size * 4}: {what} matrix needs "
-            f"{rows}x{dim} float32 values, got {data.size}"
+            f"truncated at byte {offset + got * 4}: {what} matrix needs "
+            f"{rows}x{dim} float32 values, got {got}"
         )
-    return data.reshape(rows, dim)
+    return offset + 4 * expected
 
 
 def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
-    """Read a native binary model; exact inverse of :func:`save_bin`."""
+    """Read a native binary model; exact inverse of :func:`save_bin`.
+
+    Header and metadata are checked before the file is mapped. The
+    matrices are copy-on-write views of the mapping, so the model holds
+    one file descriptor while it is alive, and the file must not be
+    truncated or rewritten in place meanwhile (see the module docstring).
+    """
     with open(path, "rb") as handle:
         raw = _read_exact(handle, _HEADER.size, "header")
         magic, version, v, bucket, dim, minn, maxn = _HEADER.unpack(raw)
@@ -209,14 +224,21 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
                 f"{path}: header claims {v} words, vocab block has {len(words)}"
             )
         vocab = Vocab(words, counts)
-        input_matrix = _read_matrix(handle, v + bucket, dim, "input")
-        output_matrix = _read_matrix(handle, v, dim, "output")
-        trailing = handle.read(1)
-        if trailing:
+        start = handle.tell()
+        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
+    try:
+        middle = _matrix_end(start, len(mapping), v + bucket, dim, "input")
+        end = _matrix_end(middle, len(mapping), v, dim, "output")
+        if end != len(mapping):
             raise FormatError(f"{path}: unexpected trailing bytes")
+    except FormatError:
+        mapping.close()
+        raise
+    input_matrix = np.frombuffer(mapping, dtype="<f4", count=(v + bucket) * dim, offset=start)
+    output_matrix = np.frombuffer(mapping, dtype="<f4", count=v * dim, offset=middle)
     model = EmbeddingModel(
-        input_matrix=input_matrix,
-        output_matrix=output_matrix,
+        input_matrix=input_matrix.reshape(v + bucket, dim),
+        output_matrix=output_matrix.reshape(v, dim),
         dim=dim,
         bucket=bucket,
         minn=minn,

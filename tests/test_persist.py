@@ -1,9 +1,12 @@
+import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cbos.analogy import VectorSpace
 from cbos.corpus import EmptyVocabError, Vocab, build_vocab
 from cbos.model import composed_word_matrix, init_model
 from cbos.persist import (
@@ -246,6 +249,100 @@ def test_bin_rejects_header_no_model_can_have(tmp_path, fields):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="invalid header"):
         load_bin(str(path))
+
+
+# -- .cbos matrices are a copy-on-write mapping of the file ------------------
+
+
+def test_writes_into_a_loaded_model_leave_the_file_unchanged(tmp_path):
+    model, _, _, path = saved_bytes(tmp_path, minn=2, maxn=3, bucket=64)
+    before = path.read_bytes()
+    loaded, _, _ = load_bin(str(path))
+    loaded.input_matrix += 1.0
+    loaded.output_matrix[0] = 7.0
+    np.testing.assert_array_equal(loaded.input_matrix, model.input_matrix + 1.0)
+    assert path.read_bytes() == before
+    del loaded
+    assert path.read_bytes() == before
+
+
+def test_save_over_the_file_a_live_model_maps(tmp_path):
+    model, vocab, config, path = saved_bytes(tmp_path, minn=2, maxn=3, bucket=64)
+    before = path.read_bytes()
+    loaded, loaded_vocab, loaded_config = load_bin(str(path))
+    save_bin(loaded, loaded_vocab, loaded_config, str(path))
+    assert path.read_bytes() == before
+    np.testing.assert_array_equal(loaded.input_matrix, model.input_matrix)
+    np.testing.assert_array_equal(loaded.output_matrix, model.output_matrix)
+
+
+def vocab_block(data: bytes) -> tuple[int, int]:
+    """Where the vocab block's length field sits, and that length."""
+    header = struct.calcsize("<4sIQQIII")
+    (config_length,) = struct.unpack_from("<Q", data, header)
+    at = header + 8 + config_length
+    return at, struct.unpack_from("<Q", data, at)[0]
+
+
+@pytest.mark.parametrize("shift", [1, 2, 3])
+def test_unaligned_legacy_file_loads_bit_identically(tmp_path, shift):
+    model, vocab, _, path = saved_bytes(tmp_path, minn=2, maxn=3, bucket=64)
+    data = path.read_bytes()
+    at, length = vocab_block(data)
+    start = at + 8 + length  # the input matrix
+    pad = (shift - start) % 4  # trailing spaces inside the vocab JSON
+    padded = data[:at] + struct.pack("<Q", length + pad) + data[at + 8 : start] + b" " * pad + data[start:]
+    at, length = vocab_block(padded)
+    assert (at + 8 + length) % 4 == shift
+    path.write_bytes(padded)
+    loaded, loaded_vocab, _ = load_bin(str(path))
+    assert not loaded.input_matrix.flags.aligned
+    assert loaded.input_matrix.tobytes() == model.input_matrix.tobytes()
+    assert loaded.output_matrix.tobytes() == model.output_matrix.tobytes()
+    assert loaded_vocab.words == vocab.words
+    assert VectorSpace(loaded, vocab).unit.tobytes() == VectorSpace(model, vocab).unit.tobytes()
+
+
+def test_load_bin_allocates_no_matrix(tmp_path):
+    model, _, _, path = saved_bytes(tmp_path, minn=3, maxn=6, bucket=2**19, dim=4)
+    assert model.input_matrix.nbytes >= 8 * 2**20
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        loaded, _, _ = load_bin(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    np.testing.assert_array_equal(loaded.input_matrix, model.input_matrix)
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_loaded_model_holds_one_descriptor_until_dropped(tmp_path):
+    _, _, _, path = saved_bytes(tmp_path)
+    before = open_descriptors()
+    loaded, _, _ = load_bin(str(path))
+    assert open_descriptors() == before + 1
+    del loaded
+    assert open_descriptors() == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_load_and_drop_cycles_leak_no_descriptor(tmp_path):
+    _, _, _, path = saved_bytes(tmp_path)
+    truncated = tmp_path / "short.cbos"
+    truncated.write_bytes(path.read_bytes()[:-2])  # fails after the file is mapped
+    before = open_descriptors()
+    failures = []  # a kept traceback keeps load_bin's frame, and its locals, alive
+    for _ in range(50):
+        load_bin(str(path))
+        with pytest.raises(TruncatedFileError) as info:
+            load_bin(str(truncated))
+        failures.append(info)
+    assert open_descriptors() == before
 
 
 # -- atomic writes ---------------------------------------------------------
