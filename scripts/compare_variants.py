@@ -74,6 +74,7 @@ def main() -> int:
         else:
             accuracy = "-"
         stats = result.stats
+        del result  # free this model before the next one trains
         print(
             f"{label:22s} {stats.duration:8.1f} {stats.updates:10d} "
             f"{stats.avg_loss:9.4f} {stats.tokens_per_sec:9.0f} {accuracy:>9}"

@@ -93,12 +93,13 @@ def main() -> int:
         print(f"== training {kind} (dim={config.dim}, ws={config.ws}, "
               f"epochs={config.epochs}, workers={config.workers})")
         t0 = time.monotonic()
-        result = train(config, corpus, progress=True)
+        result = train(config, corpus, progress=sys.stderr)
         wall = time.monotonic() - t0
         prefix = out_dir / kind
         save_bin(result.model, result.vocab, config, f"{prefix}.cbos")
         save_vec(result.model, result.vocab, f"{prefix}.vec")
         report = evaluate(result.model, result.vocab, questions)
+        del result  # free this model (800 MB at the default bucket) before the next one trains
         rows.append((kind, report, wall))
         acc = report.total_acc
         print(

@@ -15,18 +15,11 @@ from .analogy import (
     nearest_neighbors,
     word_vector,
 )
-from .corpus import (
-    Vocab,
-    build_negative_table,
-    build_vocab,
-    build_vocab_from_file,
-    negative_bounds,
-    normalize_text,
-)
-from .model import EmbeddingModel, composed_word_matrix, init_model, ns_loss, ns_update
+from .corpus import Vocab, build_vocab, build_vocab_from_file, normalize_text
+from .model import EmbeddingModel, composed_word_matrix, init_model
 from .persist import load_bin, load_vec, save_bin, save_vec
 from .subword import SubwordConfig, extract_ngrams, subword_ids
-from .trainer import TrainConfig, TrainResult, Trainer, train
+from .trainer import TrainConfig, TrainResult, train
 
 __all__ = [
     "AnalogyDataset",
@@ -36,9 +29,7 @@ __all__ = [
     "SubwordConfig",
     "TrainConfig",
     "TrainResult",
-    "Trainer",
     "Vocab",
-    "build_negative_table",
     "build_vocab",
     "build_vocab_from_file",
     "composed_word_matrix",
@@ -49,10 +40,7 @@ __all__ = [
     "load_bin",
     "load_vec",
     "nearest_neighbors",
-    "negative_bounds",
     "normalize_text",
-    "ns_loss",
-    "ns_update",
     "save_bin",
     "save_vec",
     "subword_ids",

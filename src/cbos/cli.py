@@ -142,6 +142,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     variant = args.variant.replace("-", "_") if args.variant else None
     if args.trace and args.thread != 1:
         raise _UsageError("--trace requires -thread 1")
+    if args.precision < 1:
+        raise _UsageError(f"--precision must be >= 1, got {args.precision}")
     try:
         config = TrainConfig(
             model_kind=args.model,
@@ -167,7 +169,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             config,
             args.input,
             trace=JsonTraceWriter(trace_handle) if trace_handle else None,
-            progress=True,
+            progress=sys.stderr,
         )
     finally:
         if trace_handle is not None:
@@ -219,6 +221,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 def cmd_dump_vocab(args: argparse.Namespace) -> int:
     if bool(args.model) == bool(args.input):
         raise _UsageError("need exactly one of -model or -input")
+    if args.minCount < 1:
+        raise _UsageError(f"-minCount must be >= 1, got {args.minCount}")
     if args.model:
         _model, vocab, _config = load_bin(args.model)
     else:

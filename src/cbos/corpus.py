@@ -5,7 +5,7 @@ The training pipeline expects plain UTF-8 text with one sentence per line.
 stripped); the remaining functions build the word inventory and derive from
 it the two sampling tables every training schedule relies on: per-word
 discard probabilities for frequent-word subsampling
-(:meth:`Vocab.discard_probs`) and the unigram^power distribution of negative
+(:meth:`Vocab.discard_probs`) and the unigram^0.75 distribution of negative
 samples, as the end slot of each word's run in a virtual table of
 ``NEGATIVE_TABLE_SIZE`` slots (:func:`negative_bounds`, V int64 entries). A
 training run builds both for itself and keeps them only while it runs. The
@@ -89,10 +89,11 @@ def iter_line_blocks(handle: BinaryIO, end: int, size: int) -> Iterator[tuple[in
         pos = handle.tell()
 
 
-def iter_file_tokens(path: str) -> Iterator[str]:
-    """Stream every token of a one-sentence-per-line UTF-8 text file, split as ``str.split()`` splits.
+def iter_file_text(path: str) -> Iterator[str]:
+    """Stream a UTF-8 text file as decoded blocks of whole lines.
 
-    Invalid UTF-8 raises :class:`CorpusDecodeError` at its offset in the file.
+    The strict decoder is the one UTF-8 check of a run: invalid UTF-8
+    raises :class:`CorpusDecodeError` at its offset in the file.
     """
     with open(path, "rb") as handle:
         for block_start, block in iter_line_blocks(handle, os.fstat(handle.fileno()).st_size, READ_BYTES):
@@ -100,7 +101,19 @@ def iter_file_tokens(path: str) -> Iterator[str]:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorpusDecodeError(exc, block_start) from None
-            yield from text.split()
+            yield text
+
+
+def iter_file_tokens(path: str) -> Iterator[str]:
+    """Stream every token of a one-sentence-per-line UTF-8 text file, split as ``str.split()`` splits."""
+    for text in iter_file_text(path):
+        yield from text.split()
+
+
+def check_utf8(path: str) -> None:
+    """Decode the whole file once; invalid UTF-8 raises :class:`CorpusDecodeError` at its file offset."""
+    for _text in iter_file_text(path):
+        pass
 
 
 class Vocab:
@@ -183,32 +196,26 @@ def discard_probability(word_freq: float, threshold: float) -> float:
     return 1.0 - keep
 
 
-def negative_bounds(
-    vocab: Vocab,
-    power: float = NEGATIVE_POWER,
-    table_size: int | None = None,
-) -> np.ndarray:
+def negative_bounds(vocab: Vocab, table_size: int | None = None) -> np.ndarray:
     """The end slot of each word's run in the negative-sampling table (int64).
 
     The table has ``table_size`` slots, by default ``NEGATIVE_TABLE_SIZE``
     or one per word when the vocabulary is larger. Word ``w`` owns the slots
     ``[bounds[w - 1], bounds[w])`` (from 0 for the first word), where
     ``bounds[w] = floor(size * cum[w])`` and ``cum`` is the cumulative
-    normalized ``count^power`` distribution, so a uniform slot samples the
-    unigram^power distribution. A rare word may own no slot; ``bounds[-1]``
-    is the slot count.
+    normalized ``count^NEGATIVE_POWER`` distribution, so a uniform slot
+    samples the unigram^0.75 distribution. A rare word may own no slot;
+    ``bounds[-1]`` is the slot count.
     """
     if len(vocab) == 0:
         raise EmptyVocabError("cannot build a negative table for an empty vocab")
-    if not 0.0 < power <= 1.0:
-        raise ValueError(f"power must be in (0, 1], got {power}")
     if table_size is None:
         table_size = max(NEGATIVE_TABLE_SIZE, len(vocab))
     if table_size < len(vocab):
         raise ValueError(
             f"table_size {table_size} smaller than vocabulary size {len(vocab)}"
         )
-    weights = vocab.counts.astype(np.float64) ** power
+    weights = vocab.counts.astype(np.float64) ** NEGATIVE_POWER
     cum = np.cumsum(weights)
     cum /= cum[-1]
     # The epsilon keeps exact rational boundaries (e.g. 8/9 of 9 slots) from
@@ -216,15 +223,11 @@ def negative_bounds(
     return np.floor(cum * table_size + 1e-6).astype(np.int64)
 
 
-def build_negative_table(
-    vocab: Vocab,
-    power: float = NEGATIVE_POWER,
-    table_size: int | None = None,
-) -> np.ndarray:
+def build_negative_table(vocab: Vocab, table_size: int | None = None) -> np.ndarray:
     """The negative-sampling table itself: slot ``x`` holds the id of the word that owns it.
 
     The expansion of :func:`negative_bounds` (same arguments), kept as the
     reference of the slot -> word map that training reads from the bounds.
     """
-    bounds = negative_bounds(vocab, power, table_size)
+    bounds = negative_bounds(vocab, table_size)
     return np.repeat(np.arange(len(vocab), dtype=np.int32), np.diff(bounds, prepend=0))

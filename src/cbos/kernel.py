@@ -1,14 +1,15 @@
 """Compiled training kernel and the counter-based RNG it shares with Python.
 
 One call of ``cbos_encode_block`` turns a raw block of corpus text into
-vocabulary ids: it validates the UTF-8 as the strict decoder does, splits
-lines on ``\n`` and tokens as ``str.split()`` does, and looks each token up
-in a :class:`VocabIndex`. One call of ``cbos_train_chunk`` then trains one
-worker on those sentences: subsampling, per-position window draws, the
-skip-gram phase, the bag rule of every schedule in
-:data:`cbos.trainer.SCHEDULES`, negative draws, the clamped-sigmoid loss
-and the SGD step of :func:`cbos.model.ns_update`, and the per-sentence
-linear learning rate. The Python :func:`cbos.trainer.encode_chunk` and
+vocabulary ids: it splits lines on ``\n`` and tokens as ``str.split()``
+does, and looks each token up in a :class:`VocabIndex`. It does not check
+the UTF-8: :func:`cbos.trainer.train` has the strict decoder read the whole
+corpus once before training, and the encoder reads any bytes safely. One
+call of ``cbos_train_chunk`` then trains one worker on those sentences:
+subsampling, per-position window draws, the skip-gram phase, the bag rule
+of every schedule in :data:`cbos.trainer.SCHEDULES`, negative draws, the
+clamped-sigmoid loss and the SGD step of :func:`cbos.model.ns_update`, and
+the per-sentence linear learning rate. The Python :func:`cbos.trainer.encode_chunk` and
 :class:`cbos.trainer.Trainer` stay as their references.
 
 A negative draw takes a uniform slot of the unigram^0.75 table of
@@ -501,55 +502,36 @@ void cbos_index_build(Index *X)
     }
 }
 
-/* Length of the UTF-8 character at s[0..n), or 0 where the strict decoder
-   fails: stray continuation bytes, overlong forms, surrogates, values above
-   U+10FFFF and truncated sequences. */
-static int64_t utf8_length(const uint8_t *s, int64_t n)
+/* The length of the str.split() separator that starts s[0..n), or 0 when none
+   does: \t \v \f \r, space, \x1c-\x1f, U+0085, U+00A0, U+1680, U+2000-U+200A,
+   U+2028, U+2029, U+202F, U+205F and U+3000 (the newline is handled apart).
+   Only bytes <= 0x20, 0xC2 and 0xE1-0xE3 can start one; the match is exact,
+   so on any bytes the split equals the one of the surrogateescape decoding. */
+static int64_t space_length(const uint8_t *s, int64_t n)
 {
-    uint8_t c = s[0];
-    if (c < 0x80)
-        return 1;
-    if (c < 0xC2)
+    const uint8_t c = s[0];
+    if (c <= ' ')
+        return c == ' ' || (c >= 0x09 && c <= 0x0D) || (c >= 0x1C && c <= 0x1F);
+    if (c == 0xC2)
+        return n >= 2 && (s[1] == 0x85 || s[1] == 0xA0) ? 2 : 0;
+    if (c < 0xE1 || c > 0xE3 || n < 3)
         return 0;
-    if (c < 0xE0)
-        return n >= 2 && (s[1] & 0xC0) == 0x80 ? 2 : 0;
-    if (c < 0xF0) {
-        uint8_t lo = c == 0xE0 ? 0xA0 : 0x80, hi = c == 0xED ? 0x9F : 0xBF;
-        return n >= 3 && s[1] >= lo && s[1] <= hi && (s[2] & 0xC0) == 0x80 ? 3 : 0;
-    }
-    if (c < 0xF5) {
-        uint8_t lo = c == 0xF0 ? 0x90 : 0x80, hi = c == 0xF4 ? 0x8F : 0xBF;
-        return n >= 4 && s[1] >= lo && s[1] <= hi && (s[2] & 0xC0) == 0x80
-            && (s[3] & 0xC0) == 0x80 ? 4 : 0;
-    }
-    return 0;
+    if (c == 0xE1)
+        return s[1] == 0x9A && s[2] == 0x80 ? 3 : 0;
+    if (c == 0xE3)
+        return s[1] == 0x80 && s[2] == 0x80 ? 3 : 0;
+    if (s[1] == 0x80) /* c == 0xE2 */
+        return (s[2] >= 0x80 && s[2] <= 0x8A) || s[2] == 0xA8 || s[2] == 0xA9 || s[2] == 0xAF ? 3 : 0;
+    return s[1] == 0x81 && s[2] == 0x9F ? 3 : 0;
 }
 
-/* Whether the valid k-byte character at s separates tokens in str.split():
-   \t \v \f \r, space, \x1c-\x1f, U+0085, U+00A0, U+1680, U+2000-U+200A,
-   U+2028, U+2029, U+202F, U+205F and U+3000 (the newline is handled apart). */
-static int is_space(const uint8_t *s, int64_t k)
-{
-    if (k == 1)
-        return s[0] == ' ' || (s[0] >= 0x09 && s[0] <= 0x0D) || (s[0] >= 0x1C && s[0] <= 0x1F);
-    if (k == 2)
-        return s[0] == 0xC2 && (s[1] == 0x85 || s[1] == 0xA0);
-    if (k != 3)
-        return 0;
-    if (s[0] == 0xE1)
-        return s[1] == 0x9A && s[2] == 0x80;
-    if (s[0] == 0xE2)
-        return (s[1] == 0x80 && (s[2] <= 0x8A || s[2] == 0xA8 || s[2] == 0xA9 || s[2] == 0xAF))
-            || (s[1] == 0x81 && s[2] == 0x9F);
-    return s[0] == 0xE3 && s[1] == 0x80 && s[2] == 0x80;
-}
-
-/* Encode a block of UTF-8 text for cbos_train_chunk: lines split on '\n',
-   tokens as str.split() splits them, ids[] the vocabulary id of each token
-   (-1 out of vocabulary), sentence s = ids[offsets[s] .. offsets[s + 1]);
-   lines without tokens make no sentence. ids needs room for n / 2 + 1
-   entries and offsets for one more. Returns the sentence count, or
-   -(1 + i) when the character at byte i is invalid UTF-8. */
+/* Encode a block of text for cbos_train_chunk: lines split on '\n', tokens as
+   str.split() splits them, ids[] the vocabulary id of each token (-1 out of
+   vocabulary), sentence s = ids[offsets[s] .. offsets[s + 1]); lines without
+   tokens make no sentence. The text is not validated (train() decodes the
+   corpus once before training), and no byte outside s[0..n) is read. ids
+   needs room for n / 2 + 1 entries and offsets for one more. Returns the
+   sentence count. */
 int64_t cbos_encode_block(const Index *X, const uint8_t *s, int64_t n, int32_t *ids, int64_t *offsets)
 {
     int64_t n_ids = 0, n_sentences = 0, start = -1;
@@ -557,25 +539,15 @@ int64_t cbos_encode_block(const Index *X, const uint8_t *s, int64_t n, int32_t *
     offsets[0] = 0;
     for (int64_t i = 0, k; i <= n; i += k) {
         k = 1;
-        if (i < n && s[i] > ' ' && s[i] < 0x80) { /* the common case: ASCII inside a token */
+        /* a byte inside a token: ASCII (the common case), or any byte that starts no separator */
+        if (i < n && ((s[i] > ' ' && s[i] < 0x80) || (s[i] != '\n' && (k = space_length(s + i, n - i)) == 0))) {
+            k = 1;
             if (start < 0)
                 start = i;
             h = (h ^ s[i]) * FNV_PRIME;
             continue;
         }
         int newline = i == n || s[i] == '\n'; /* the end of the block ends its last line */
-        if (!newline) {
-            k = utf8_length(s + i, n - i);
-            if (k == 0)
-                return -(1 + i);
-            if (!is_space(s + i, k)) {
-                if (start < 0)
-                    start = i;
-                for (int64_t j = i; j < i + k; j++)
-                    h = (h ^ s[j]) * FNV_PRIME;
-                continue;
-            }
-        }
         if (start >= 0) {
             ids[n_ids++] = *index_slot(X, s + start, i - start, h);
             start = -1;
@@ -838,9 +810,10 @@ class VocabIndex:
 
         The same arrays as :func:`cbos.trainer.encode_chunk`: lines split on
         ``\\n``, tokens as ``str.split()`` splits them, and blank lines make
-        no sentence. Each call allocates the arrays it returns, so threads
-        may share one index. Invalid UTF-8 raises the decoder's own
-        :class:`UnicodeDecodeError`.
+        no sentence. The block is not checked for valid UTF-8; on any bytes
+        the split is that of ``block.decode("utf-8", "surrogateescape")``.
+        Each call allocates the arrays it returns, so threads may share one
+        index.
         """
         # every token but the last ends at a separator byte
         ids = np.empty(len(block) // 2 + 1, dtype=np.int32)
@@ -848,9 +821,6 @@ class VocabIndex:
         n = self._lib.cbos_encode_block(
             ctypes.byref(self.struct), block, len(block), ids.ctypes.data, sentences.ctypes.data
         )
-        if n < 0:
-            block.decode("utf-8")  # raises the decoder's error for byte -n - 1
-            raise AssertionError(f"the kernel rejected byte {-n - 1} of valid UTF-8")
         return ids[: sentences[n]], sentences[: n + 1]
 
 

@@ -213,12 +213,25 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
             raise FormatError(f"{path}: invalid header: {exc}") from None
         try:
             config = TrainConfig(**json.loads(_read_block(handle, "config")))
+            vocab_at = handle.tell()
             vocab_block = json.loads(_read_block(handle, "vocab"))
             words, counts = vocab_block["words"], vocab_block["counts"]
         except TruncatedFileError:
             raise
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: corrupt metadata block: {exc}") from exc
+        if not (
+            isinstance(words, list)
+            and isinstance(counts, list)
+            and len(words) == len(counts)
+            and all(type(word) is str for word in words)
+            and all(type(count) is int and count >= 0 for count in counts)
+            and sum(counts) < 2**63
+        ):
+            raise FormatError(
+                f"{path}: corrupt vocab block at byte {vocab_at}: needs a list of words (str) "
+                "and a list of as many counts (int >= 0, summing below 2**63)"
+            )
         if len(words) != v:
             raise FormatError(
                 f"{path}: header claims {v} words, vocab block has {len(words)}"

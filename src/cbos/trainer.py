@@ -41,7 +41,6 @@ import functools
 import json
 import math
 import os
-import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,13 +50,7 @@ from typing import Callable, IO, Iterator
 import numpy as np
 
 from . import kernel
-from .corpus import (
-    CorpusDecodeError,
-    Vocab,
-    build_vocab_from_file,
-    iter_line_blocks,
-    negative_bounds,
-)
+from .corpus import Vocab, build_vocab_from_file, check_utf8, iter_line_blocks, negative_bounds
 from .model import (
     SIGMOID_CLAMP,
     EmbeddingModel,
@@ -529,18 +522,24 @@ def train(
     *,
     vocab: Vocab | None = None,
     trace: TraceSink | None = None,
-    progress: bool = False,
-    progress_out: IO[str] | None = None,
+    progress: IO[str] | None = None,
 ) -> TrainResult:
     """Train a model on a one-sentence-per-line corpus file.
 
-    Builds the vocabulary (unless one is supplied), then this run's own
-    discard probabilities, negative-sampling run ends and subword cache,
-    loads the compiled kernel (building it on first use; a missing C
-    compiler raises ``RuntimeError``) and builds its guide table over the
-    run ends, then runs ``config.epochs`` passes with ``config.workers``
+    Builds the vocabulary (unless one is supplied; then the corpus is only
+    decoded once), then this run's own discard probabilities,
+    negative-sampling run ends and subword cache, loads the compiled kernel
+    (building it on first use; a missing C compiler raises
+    ``RuntimeError``) and builds its guide table over the run ends, then
+    runs ``config.epochs`` passes with ``config.workers``
     workers over equal byte-range slices of the corpus. ``stats.duration``
-    covers the training passes only, not vocabulary I/O.
+    covers the training passes only, not vocabulary I/O. With ``progress``,
+    a progress line is rewritten there about twice a second.
+
+    The strict decoder reads the whole corpus once before any block is
+    trained, so invalid UTF-8 raises :class:`cbos.corpus.CorpusDecodeError`
+    at its file offset, at every worker count; the kernel's encoder only
+    splits.
 
     Tracing requires ``workers=1``; multi-worker runs share matrices without
     locks and are not bit-reproducible. When a worker fails, the others stop
@@ -552,6 +551,8 @@ def train(
         raise ValueError("tracing requires workers=1")
     if vocab is None:
         vocab = build_vocab_from_file(corpus_path, config.min_count)
+    else:
+        check_utf8(corpus_path)
     discard = vocab.discard_probs(config.t)
     bounds = negative_bounds(vocab)
     subwords = build_subword_cache(vocab, config.subword_config())
@@ -575,7 +576,6 @@ def train(
         slots=slots,
     )
     skipgram, bag_rule = SCHEDULES[config.variant or config.model_kind]
-    out = progress_out if progress_out is not None else sys.stderr
     stop = threading.Event()  # set by any worker's failure; every worker checks it before each block
     t0 = time.monotonic()
 
@@ -609,13 +609,10 @@ def train(
         last_print = time.monotonic()
         try:
             for _epoch in range(config.epochs):
-                for block_start, block in iter_slice_chunks(corpus_path, worker_id, config.workers):
+                for _offset, block in iter_slice_chunks(corpus_path, worker_id, config.workers):
                     if stop.is_set():
                         return
-                    try:
-                        encoded = index.encode(block)
-                    except UnicodeDecodeError as exc:
-                        raise CorpusDecodeError(exc, block_start) from None
+                    encoded = index.encode(block)
                     job.train_chunk(*encoded, on_events)
                     del encoded  # free this block's ids before the next block's are allocated
                     if progress_out is not None:
@@ -633,7 +630,7 @@ def train(
     with ThreadPoolExecutor(max(1, config.workers - 1)) as pool:
         others = [pool.submit(run_slice, w, None, None) for w in range(1, config.workers)]
         try:
-            run_slice(0, trace, out if progress else None)
+            run_slice(0, trace, progress)
             for future in others:  # waits for each worker in turn, raising its own exception
                 future.result()
         except BaseException:  # also stops the others when an interrupt comes during the wait
@@ -641,10 +638,10 @@ def train(
             raise
 
     duration = time.monotonic() - t0
-    if progress:
-        _print_progress(out, slots, total_expected, config.lr0, t0)
-        out.write("\n")
-        out.flush()
+    if progress is not None:
+        _print_progress(progress, slots, total_expected, config.lr0, t0)
+        progress.write("\n")
+        progress.flush()
     scanned, loss, skipgram_updates, bag_updates = _totals(slots)
     updates = skipgram_updates + bag_updates
     stats = TrainStats(

@@ -11,7 +11,7 @@ import cbos.trainer as trainer_module
 from cbos.analogy import evaluate, load_analogy_file
 from cbos.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
 from cbos.corpus import build_vocab, build_vocab_from_file, normalize_text
-from cbos.model import EmbeddingModel
+from cbos.model import EmbeddingModel, init_model
 from cbos.persist import load_bin, save_bin
 from cbos.trainer import TrainConfig
 
@@ -197,6 +197,14 @@ def test_train_corrupt_corpus_error_names_the_file_offset(corrupt_corpus, tmp_pa
     assert not (tmp_path / "m.cbos").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_train_bad_precision_is_usage_error_before_training(tmp_path, capsys, value):
+    for corpus in (write_corpus(tmp_path), str(tmp_path / "absent.txt")):  # the corpus is not read
+        assert run(train_args(corpus, str(tmp_path / "m"), "--precision", value)) == EXIT_USAGE
+        assert "usage error: --precision must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.cbos").exists()
+
+
 def test_train_trace_writes_ndjson(tmp_path):
     corpus = write_corpus(tmp_path, n_lines=5)
     trace = tmp_path / "events.ndjson"
@@ -349,6 +357,30 @@ def test_nn_oov_word_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "words,counts",
+    [
+        (["alpha", "beta", "gamma"], [3, 2]),
+        (["alpha", "beta", "gamma"], [3, "x", 1]),
+        ([1, 2, 3], [3, 2, 1]),
+    ],
+    ids=["lists of different lengths", "a count that is not an int", "words that are not str"],
+)
+def test_nn_on_a_corrupt_vocab_block_is_runtime_error(tmp_path, capsys, words, counts):
+    vocab = build_vocab(["alpha"] * 3 + ["beta"] * 2 + ["gamma"])
+    model = init_model(len(vocab), 64, 4, seed=1, minn=2, maxn=3)
+    path = tmp_path / "m.cbos"
+    save_bin(model, vocab, TrainConfig(dim=4, minn=2, maxn=3, bucket=64, min_count=1), str(path))
+    data = path.read_bytes()
+    header = struct.calcsize("<4sIQQIII")
+    at = header + 8 + struct.unpack_from("<Q", data, header)[0]  # the vocab block's length field
+    end = at + 8 + struct.unpack_from("<Q", data, at)[0]
+    payload = json.dumps({"words": words, "counts": counts}).encode()
+    path.write_bytes(data[:at] + struct.pack("<Q", len(payload)) + payload + data[end:])
+    assert run(["nn", "-model", str(path), "-word", "alpha"]) == EXIT_RUNTIME
+    assert f"error: {path}: corrupt vocab block at byte {at}:" in capsys.readouterr().err
+
+
 def test_nn_bad_k_is_usage_error(tmp_path):
     _, _, model_path = geometry_model(tmp_path)
     assert run(["nn", "-model", model_path, "-word", "apple", "-k", "0"]) == EXIT_USAGE
@@ -392,6 +424,14 @@ def test_dump_vocab_from_model(tmp_path, capsys):
     assert run(["dump-vocab", "-model", model_path]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("\t")[0] for line in lines] == vocab.words
+
+
+def test_dump_vocab_bad_min_count_is_usage_error_before_counting(tmp_path, capsys):
+    for corpus in (write_corpus(tmp_path), str(tmp_path / "absent.txt")):  # the corpus is not read
+        assert run(["dump-vocab", "-input", corpus, "-minCount", "0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "usage error: -minCount must be >= 1, got 0" in captured.err
+        assert captured.out == ""
 
 
 def test_dump_vocab_needs_exactly_one_source(tmp_path, capsys):

@@ -215,14 +215,6 @@ def test_negative_table_default_size(tiny_vocab, monkeypatch):
     assert build_negative_table(tiny_vocab).tolist() == expand(bounds)
 
 
-def test_negative_table_rejects_bad_power(tiny_vocab):
-    for build in (negative_bounds, build_negative_table):
-        with pytest.raises(ValueError):
-            build(tiny_vocab, power=0.0, table_size=100)
-        with pytest.raises(ValueError):
-            build(tiny_vocab, power=1.5, table_size=100)
-
-
 @hypothesis.given(
     st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=20),
     st.integers(min_value=0, max_value=3),

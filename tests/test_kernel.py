@@ -1,6 +1,7 @@
 import ctypes
 import functools
 import itertools
+import mmap
 import os
 import re
 import string
@@ -15,7 +16,14 @@ from hypothesis import strategies as st
 import cbos.corpus as corpus_module
 import cbos.trainer as trainer_module
 from cbos import kernel
-from cbos.corpus import Vocab, build_negative_table, build_vocab, build_vocab_from_file, negative_bounds
+from cbos.corpus import (
+    CorpusDecodeError,
+    Vocab,
+    build_negative_table,
+    build_vocab,
+    build_vocab_from_file,
+    negative_bounds,
+)
 from cbos.model import init_model
 from cbos.persist import save_bin
 from cbos.trainer import (
@@ -145,7 +153,7 @@ def parity_index():
 
 
 def raw_encode(index, block):
-    """cbos_encode_block's return value: the sentence count, or -(1 + offset) of a bad byte."""
+    """cbos_encode_block's return value, the sentence count."""
     ids = np.empty(len(block) // 2 + 1, dtype=np.int32)
     offsets = np.empty(ids.size + 1, dtype=np.int64)
     return kernel.load().cbos_encode_block(
@@ -159,6 +167,16 @@ def assert_encodes_like_encode_chunk(index, word2id, block):
     assert ids.dtype == want_ids.dtype and offsets.dtype == want_offsets.dtype
     assert ids.tolist() == want_ids.tolist()
     assert offsets.tolist() == want_offsets.tolist()
+
+
+def escaped_split(block, word2id):
+    """encode_chunk's ids and offsets, as lists, of any bytes: the split of the surrogateescape decoding."""
+    ids, offsets = [], [0]
+    for line in block.decode("utf-8", "surrogateescape").split("\n"):
+        ids += [word2id.get(token, -1) for token in line.split()]
+        if len(ids) > offsets[-1]:
+            offsets.append(len(ids))
+    return ids, offsets
 
 
 def test_separators_are_exactly_str_split_whitespace():
@@ -193,27 +211,73 @@ def test_encoder_matches_encode_chunk(text):
     assert_encodes_like_encode_chunk(*parity_index(), text.encode("utf-8"))
 
 
+# Any bytes, rich in lead bytes, separator prefixes and cut-off separators
+arbitrary_bytes = st.lists(
+    st.one_of(
+        st.binary(min_size=1, max_size=3),
+        st.sampled_from([bytes([b]) for b in b"\x80\x8f\x90\x9f\xa0\xbf\xc0\xc2\xe0\xe1\xe2\xe3\xed\xf0\xf4\xf5"]),
+        st.sampled_from([b"\xc2\x85", b"\xe1\x9a", b"\xe2\x80", b"\xe2\x81", b"\xe3\x80", b"\xe2\x80\x0a"]),
+        text_piece.map(lambda t: t.encode("utf-8")),
+    ),
+    max_size=20,
+).map(b"".join)
+
+
 @settings(max_examples=400, deadline=None)
-@given(
-    data=st.lists(
-        st.one_of(
-            st.binary(min_size=1, max_size=3),
-            st.sampled_from([bytes([b]) for b in b"\x80\x8f\x90\x9f\xa0\xbf\xc0\xc2\xe0\xed\xf0\xf4\xf5"]),
-            text_piece.map(lambda t: t.encode("utf-8")),
-        ),
-        max_size=20,
-    ).map(b"".join)
-)
+@given(data=arbitrary_bytes)
 def test_encoder_matches_encode_chunk_on_arbitrary_bytes(data):
     index, word2id = parity_index()
     try:
         encode_chunk(data, word2id)
-    except UnicodeDecodeError as exc:
-        assert raw_encode(index, data) == -(1 + exc.start)
-        with pytest.raises(UnicodeDecodeError):
-            index.encode(data)
+    except UnicodeDecodeError:
+        assert raw_encode(index, data) >= 0  # the encoder reports nothing: train() decodes the corpus first
+        ids, offsets = index.encode(data)
+        assert (ids.tolist(), offsets.tolist()) == escaped_split(data, word2id)
     else:
         assert_encodes_like_encode_chunk(index, word2id, data)
+
+
+def encode_before_a_guard_page(index, data):
+    """cbos_encode_block's ids and offsets, as lists, of ``data`` placed flush against an unreadable page.
+
+    A read past the block faults, which ends the test process.
+    """
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    page = mmap.PAGESIZE
+    region = mmap.mmap(-1, 2 * page)
+    anchor = ctypes.c_char.from_buffer(region)
+    guard = ctypes.addressof(anchor) + page
+    try:
+        if libc.mprotect(guard, page, 0) != 0:  # PROT_NONE
+            raise OSError(ctypes.get_errno(), "mprotect failed")
+        region[page - len(data) : page] = data
+        ids = np.empty(len(data) // 2 + 1, dtype=np.int32)
+        offsets = np.empty(ids.size + 1, dtype=np.int64)
+        n = kernel.load().cbos_encode_block(
+            ctypes.byref(index.struct),
+            ctypes.c_char_p(guard - len(data)),
+            len(data),
+            ids.ctypes.data,
+            offsets.ctypes.data,
+        )
+        return ids[: offsets[n]].tolist(), offsets[: n + 1].tolist()
+    finally:
+        libc.mprotect(guard, page, mmap.PROT_READ | mmap.PROT_WRITE)
+        del anchor
+        region.close()
+
+
+# Every multi-byte separator cut short, as a block may end
+CUT_SEPARATORS = sorted({c.encode()[:k] for c in SEPARATORS for k in range(1, len(c.encode()))})
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="guards a page with the C library's mprotect")
+@settings(max_examples=400, deadline=None)
+@given(data=arbitrary_bytes, end=st.sampled_from([b""] + CUT_SEPARATORS))
+def test_encoder_reads_nothing_past_its_block(data, end):
+    index, word2id = parity_index()
+    assert encode_before_a_guard_page(index, data + end) == escaped_split(data + end, word2id)
 
 
 def fnv1a64(data: bytes) -> int:
@@ -274,24 +338,39 @@ INVALID_UTF8 = {
 
 
 @pytest.mark.parametrize("block", INVALID_UTF8.values(), ids=INVALID_UTF8.keys())
-def test_invalid_utf8_raises_like_the_decoder(block):
+def test_invalid_utf8_raises_like_the_decoder(block, tmp_path):
+    # The corpus pass raises the strict decoder's error; the kernel's encoder splits the bytes all the same.
     index, word2id = parity_index()
     with pytest.raises(UnicodeDecodeError) as want:
         encode_chunk(block, word2id)
-    with pytest.raises(UnicodeDecodeError) as got:
-        index.encode(block)
-    assert got.value.start == want.value.start
-    assert raw_encode(index, block) == -(1 + want.value.start)
-
-
-def test_train_with_a_prebuilt_vocabulary_rejects_invalid_utf8(tmp_path):
-    # The vocabulary build never reads this corpus, so the kernel's encoder meets the bad byte.
     path = tmp_path / "corpus.txt"
-    path.write_bytes(b"alpha beta\nbeta \xff alpha\n")
-    config = TrainConfig(dim=4, ws=2, epochs=1, minn=0, maxn=0, bucket=0, min_count=1, seed=1)
-    with pytest.raises(UnicodeDecodeError) as info:
+    path.write_bytes(b"ok\n" + block)
+    with pytest.raises(CorpusDecodeError) as got:
+        corpus_module.check_utf8(str(path))
+    assert (got.value.start, got.value.end) == (3 + want.value.start, 3 + want.value.end)
+    assert got.value.reason == want.value.reason
+    assert raw_encode(index, block) >= 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("block", INVALID_UTF8.values(), ids=INVALID_UTF8.keys())
+def test_train_with_a_prebuilt_vocabulary_rejects_invalid_utf8(tmp_path, monkeypatch, block, workers):
+    # The vocabulary build never reads this corpus, so only the decode pass can meet the bad bytes.
+    data = b"alpha beta\nbeta alpha\n" * 40 + block + b"\nalpha beta\n"
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as want:
+        data.decode("utf-8")
+
+    def train_chunk(*args):
+        raise AssertionError("a block was trained before the corpus was checked")
+
+    monkeypatch.setattr(trainer_module, "CHUNK_BYTES", 64)  # many blocks precede the bad bytes
+    monkeypatch.setattr(kernel.ChunkTrainer, "train_chunk", train_chunk)
+    config = TrainConfig(dim=4, ws=2, epochs=1, minn=0, maxn=0, bucket=0, min_count=1, seed=1, workers=workers)
+    with pytest.raises(CorpusDecodeError) as info:
         train(config, str(path), vocab=build_vocab(["alpha", "beta", "beta"]))
-    assert info.value.start == 16
+    assert (info.value.start, info.value.end, info.value.reason) == (want.value.start, want.value.end, want.value.reason)
 
 
 # -- build -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import struct
@@ -282,6 +283,33 @@ def vocab_block(data: bytes) -> tuple[int, int]:
     (config_length,) = struct.unpack_from("<Q", data, header)
     at = header + 8 + config_length
     return at, struct.unpack_from("<Q", data, at)[0]
+
+
+BAD_VOCAB_BLOCKS = {
+    "lists of different lengths": {"words": ["alpha", "beta", "γάμμα", "delta"], "counts": [4, 3, 2]},
+    "a count that is not an int": {"words": ["alpha", "beta", "γάμμα", "delta"], "counts": [4, 3, "x", 2]},
+    "words that are not str": {"words": [1, 2, 3, 4], "counts": [4, 3, 2, 2]},
+    "a negative count": {"words": ["alpha", "beta", "γάμμα", "delta"], "counts": [4, 3, -2, 2]},
+    "a bool count": {"words": ["alpha", "beta", "γάμμα", "delta"], "counts": [4, 3, True, 2]},
+    "counts summing past int64": {"words": ["alpha", "beta", "γάμμα", "delta"], "counts": [2**62, 2**62, 2, 2]},
+}
+
+
+def with_vocab_block(data: bytes, block: dict) -> bytes:
+    """The model file ``data`` with its vocab block replaced by the JSON of ``block``."""
+    at, length = vocab_block(data)
+    payload = json.dumps(block).encode()
+    return data[:at] + struct.pack("<Q", len(payload)) + payload + data[at + 8 + length :]
+
+
+@pytest.mark.parametrize("block", BAD_VOCAB_BLOCKS.values(), ids=BAD_VOCAB_BLOCKS.keys())
+def test_bin_rejects_a_vocab_block_no_model_can_have(tmp_path, block):
+    _, _, _, path = saved_bytes(tmp_path, minn=2, maxn=3, bucket=64)
+    data = path.read_bytes()
+    at, _ = vocab_block(data)
+    path.write_bytes(with_vocab_block(data, block))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: corrupt vocab block at byte {at}:"):
+        load_bin(str(path))
 
 
 @pytest.mark.parametrize("shift", [1, 2, 3])

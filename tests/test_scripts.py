@@ -1,0 +1,60 @@
+import importlib.util
+import os
+import sys
+import weakref
+
+import pytest
+
+from cbos.corpus import build_vocab
+from cbos.model import init_model
+from cbos.trainer import TrainResult, TrainStats
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def load_script(name, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ on the path
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def one_model_at_a_time(trained):
+    """A stand-in for ``train`` that fails when a model it returned earlier is still alive."""
+
+    def train(config, corpus_path, **kwargs):
+        alive = [ref for ref in trained if ref() is not None]
+        assert not alive, f"model {len(trained)} trains while an earlier one is alive"
+        vocab = build_vocab(["ash"] * 3 + ["oak"] * 2 + ["elm", "fir"])
+        model = init_model(len(vocab), 0, 4, seed=len(trained))
+        trained.append(weakref.ref(model))
+        stats = TrainStats(1.0, 7, 7.0, 10, 0.5, 5, 5)
+        return TrainResult(model=model, vocab=vocab, config=config, stats=stats)
+
+    return train
+
+
+def test_compare_variants_frees_each_model_before_the_next(tmp_path, monkeypatch, capsys):
+    script = load_script("compare_variants", monkeypatch)
+    trained = []
+    monkeypatch.setattr(script, "train", one_model_at_a_time(trained))
+    monkeypatch.setattr(sys, "argv", ["compare_variants.py", "-corpus", str(tmp_path / "unread.txt")])
+    assert script.main() == 0
+    assert len(trained) == 2 + len(script.CBOS_VARIANTS)
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(trained)
+
+
+def test_reproduce_full_scale_frees_each_model_before_the_next(tmp_path, monkeypatch):
+    script = load_script("reproduce_full_scale", monkeypatch)
+    trained = []
+    monkeypatch.setattr(script, "train", one_model_at_a_time(trained))
+    questions = tmp_path / "questions.txt"
+    questions.write_text(": trees\nash oak elm fir\noak ash fir elm\n")
+    argv = ["-corpus", str(tmp_path / "unread.txt"), "-questions", str(questions), "-output-dir", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", ["reproduce_full_scale.py", *argv, "-thread", "1"])
+    script.main()
+    assert len(trained) == len(script.SCHEDULES)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["questions.txt"] + [f"{kind}.{ext}" for kind in script.SCHEDULES for ext in ("cbos", "vec")]
+    )

@@ -806,7 +806,7 @@ def test_failing_worker_stops_the_others(tmp_path, monkeypatch, failing, error):
 
 def test_train_decode_error_gives_the_file_offset(corrupt_corpus, monkeypatch):
     path, offset = corrupt_corpus
-    monkeypatch.setattr(trainer_module, "CHUNK_BYTES", 4096)  # the bad byte sits deep in a later block
+    monkeypatch.setattr(corpus_module, "READ_BYTES", 4096)  # the bad byte sits deep in a later block
     vocab = build_vocab(["alpha", "beta", "gamma", "délta"])
     with pytest.raises(CorpusDecodeError) as info:
         train(quick_config(), path, vocab=vocab)
@@ -822,7 +822,7 @@ def test_train_decode_error_gives_the_file_offset(corrupt_corpus, monkeypatch):
 def test_train_progress_line_format(tmp_path):
     path = small_corpus(tmp_path)
     sink = io.StringIO()
-    train(quick_config(epochs=1), path, progress=True, progress_out=sink)
+    train(quick_config(epochs=1), path, progress=sink)
     text = sink.getvalue()
     assert "progress: 100.0%" in text
     assert "lr:" in text and "loss:" in text and "tokens/sec:" in text
