@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dump-vocab", allow_abbrev=False, help="print word\\tcount\\tid lines"
     )
     p_vocab.add_argument("-model", metavar="FILE.cbos")
-    p_vocab.add_argument("-input", metavar="FILE", help="corpus to count instead")
+    p_vocab.add_argument("-input", metavar="FILE", help="corpus to count instead (needs a C compiler)")
     p_vocab.add_argument("-minCount", type=int, default=5)
     p_vocab.set_defaults(func=cmd_dump_vocab)
 

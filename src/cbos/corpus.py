@@ -2,15 +2,19 @@
 
 The training pipeline expects plain UTF-8 text with one sentence per line.
 `normalize_text` produces that form from raw text (lowercase, punctuation
-stripped); the remaining functions build the word inventory and derive from
-it the two sampling tables every training schedule relies on: per-word
-discard probabilities for frequent-word subsampling
-(:meth:`Vocab.discard_probs`) and the unigram^0.75 distribution of negative
-samples, as the end slot of each word's run in a virtual table of
-``NEGATIVE_TABLE_SIZE`` slots (:func:`negative_bounds`, V int64 entries). A
-training run builds both for itself and keeps them only while it runs. The
-table itself (:func:`build_negative_table`, 40 MB) is built only as the
-reference that the tests compare the kernel's slot -> word map with.
+stripped). :func:`build_vocab_from_file` builds the word inventory of a
+corpus file: the strict decoder checks each block, the one UTF-8 check of a
+run, and the compiled kernel counts its words with the tokenizer that
+training encodes with (:func:`build_vocab` is the Python reference). The
+remaining functions derive from the inventory the two sampling tables every
+training schedule relies on: per-word discard probabilities for
+frequent-word subsampling (:meth:`Vocab.discard_probs`) and the
+unigram^0.75 distribution of negative samples, as the end slot of each
+word's run in a virtual table of ``NEGATIVE_TABLE_SIZE`` slots
+(:func:`negative_bounds`, V int64 entries). A training run builds both for
+itself and keeps them only while it runs. The table itself
+(:func:`build_negative_table`, 40 MB) is built only as the reference that
+the tests compare the kernel's slot -> word map with.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
+from . import kernel
+
 NEGATIVE_TABLE_SIZE = 10_000_000
 NEGATIVE_POWER = 0.75
-READ_BYTES = 1 << 16  # corpus text per decode while counting words
+READ_BYTES = 1 << 16  # corpus bytes per block of the strict decode (and of the word count)
 
 
 class EmptyVocabError(ValueError):
@@ -89,8 +95,8 @@ def iter_line_blocks(handle: BinaryIO, end: int, size: int) -> Iterator[tuple[in
         pos = handle.tell()
 
 
-def iter_file_text(path: str) -> Iterator[str]:
-    """Stream a UTF-8 text file as decoded blocks of whole lines.
+def iter_file_blocks(path: str) -> Iterator[bytes]:
+    """Stream a UTF-8 text file as blocks of whole lines, each checked by the strict decoder.
 
     The strict decoder is the one UTF-8 check of a run: invalid UTF-8
     raises :class:`CorpusDecodeError` at its offset in the file.
@@ -98,21 +104,15 @@ def iter_file_text(path: str) -> Iterator[str]:
     with open(path, "rb") as handle:
         for block_start, block in iter_line_blocks(handle, os.fstat(handle.fileno()).st_size, READ_BYTES):
             try:
-                text = block.decode("utf-8")
+                block.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorpusDecodeError(exc, block_start) from None
-            yield text
-
-
-def iter_file_tokens(path: str) -> Iterator[str]:
-    """Stream every token of a one-sentence-per-line UTF-8 text file, split as ``str.split()`` splits."""
-    for text in iter_file_text(path):
-        yield from text.split()
+            yield block
 
 
 def check_utf8(path: str) -> None:
     """Decode the whole file once; invalid UTF-8 raises :class:`CorpusDecodeError` at its file offset."""
-    for _text in iter_file_text(path):
+    for _block in iter_file_blocks(path):
         pass
 
 
@@ -163,7 +163,8 @@ class Vocab:
 def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocab:
     """Count ``tokens`` and build a :class:`Vocab` of words seen >= ``min_count`` times.
 
-    Raises :class:`EmptyVocabError` when nothing survives the threshold.
+    The reference of :func:`build_vocab_from_file`. Raises
+    :class:`EmptyVocabError` when nothing survives the threshold.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
@@ -178,7 +179,24 @@ def build_vocab(tokens: Iterable[str], min_count: int = 1) -> Vocab:
 
 
 def build_vocab_from_file(path: str, min_count: int = 1) -> Vocab:
-    return build_vocab(iter_file_tokens(path), min_count)
+    """The :class:`Vocab` of a one-sentence-per-line UTF-8 text file, counted in the kernel.
+
+    The same words, counts and ids as ``build_vocab(text.split(),
+    min_count)`` on the decoded text. Each block of whole lines passes the
+    strict decoder (:func:`iter_file_blocks`), then the kernel's tokenizer
+    counts it (:func:`cbos.kernel.count_words`); only the words that are
+    kept are decoded. Needs the compiled kernel.
+    """
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    blob, offsets, counts = kernel.count_words(iter_file_blocks(path))
+    kept = np.flatnonzero(counts >= min_count)
+    if not kept.size:
+        raise EmptyVocabError("no words with count >= min_count")
+    # first-occurrence order, stably sorted on -count, as build_vocab orders them
+    order = kept[np.argsort(-counts[kept], kind="stable")]
+    starts, ends = offsets[order].tolist(), offsets[order + 1].tolist()
+    return Vocab([blob[a:b].decode("utf-8") for a, b in zip(starts, ends)], counts[order])
 
 
 def discard_probability(word_freq: float, threshold: float) -> float:

@@ -2,14 +2,18 @@
 
 One call of ``cbos_encode_block`` turns a raw block of corpus text into
 vocabulary ids: it splits lines on ``\n`` and tokens as ``str.split()``
-does, and looks each token up in a :class:`VocabIndex`. It does not check
-the UTF-8: :func:`cbos.trainer.train` has the strict decoder read the whole
-corpus once before training, and the encoder reads any bytes safely. One
-call of ``cbos_train_chunk`` then trains one worker on those sentences:
-subsampling, per-position window draws, the skip-gram phase, the bag rule
-of every schedule in :data:`cbos.trainer.SCHEDULES`, negative draws, the
-clamped-sigmoid loss and the SGD step of :func:`cbos.model.ns_update`, and
-the per-sentence linear learning rate. The Python :func:`cbos.trainer.encode_chunk` and
+does, and looks each token up in a :class:`VocabIndex`. Through the same
+tokenizer, ``cbos_count_block`` counts the words of a block into a hash
+table that grows as it goes (:func:`count_words`, which
+:func:`cbos.corpus.build_vocab_from_file` calls; :func:`cbos.corpus.build_vocab`
+stays as its reference). Neither checks the UTF-8: the strict decoder reads
+the whole corpus once before training, and the tokenizer reads any bytes
+safely. One call of ``cbos_train_chunk`` then trains one worker on those
+sentences: subsampling, per-position window draws, the skip-gram phase, the
+bag rule of every schedule in :data:`cbos.trainer.SCHEDULES`, negative
+draws, the clamped-sigmoid loss and the SGD step of
+:func:`cbos.model.ns_update`, and the per-sentence linear learning rate.
+The Python :func:`cbos.trainer.encode_chunk` and
 :class:`cbos.trainer.Trainer` stay as their references.
 
 A negative draw takes a uniform slot of the unigram^0.75 table of
@@ -23,7 +27,8 @@ The C source below is compiled on first use with the local C compiler into
 ``$XDG_CACHE_HOME/cbos`` (default ``~/.cache/cbos``; a directory in the temp
 dir when that is not writable), under a name keyed by a hash of the source
 and the flags, and loaded through :mod:`ctypes`. Importing this module
-compiles nothing, so the query side works without a compiler.
+compiles nothing, so the query side works without a compiler; training and
+counting a corpus's vocabulary need one.
 
 Floating point is strict (no ``-ffast-math``, no contraction into fused
 multiply-adds), so a given build is bit-deterministic. The dot products
@@ -45,6 +50,7 @@ import secrets
 import shutil
 import subprocess
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
@@ -470,8 +476,8 @@ void cbos_release(Job *J)
 #define FNV_PRIME 0x100000001b3ULL
 
 typedef struct {
-    const uint8_t *blob;       /* UTF-8 bytes of every word, back to back */
-    const int64_t *offsets;    /* word w is blob[offsets[w] .. offsets[w + 1]) */
+    uint8_t *blob;             /* UTF-8 bytes of every word, back to back */
+    int64_t *offsets;          /* word w is blob[offsets[w] .. offsets[w + 1]) */
     int32_t *table;            /* word ids by FNV-1a-64 slot, -1 empty; mask + 1 >= 2 words */
     int64_t n_words;
     int64_t mask;
@@ -507,7 +513,7 @@ void cbos_index_build(Index *X)
    U+2028, U+2029, U+202F, U+205F and U+3000 (the newline is handled apart).
    Only bytes <= 0x20, 0xC2 and 0xE1-0xE3 can start one; the match is exact,
    so on any bytes the split equals the one of the surrogateescape decoding. */
-static int64_t space_length(const uint8_t *s, int64_t n)
+static inline int64_t space_length(const uint8_t *s, int64_t n)
 {
     const uint8_t c = s[0];
     if (c <= ' ')
@@ -525,38 +531,154 @@ static int64_t space_length(const uint8_t *s, int64_t n)
     return s[1] == 0x81 && s[2] == 0x9F ? 3 : 0;
 }
 
+/* The length of the separator that starts s[0..n) ('\n' or one of space_length),
+   or 0 when a token byte does. */
+static inline int64_t separator_length(const uint8_t *s, int64_t n)
+{
+    if (s[0] > ' ' && s[0] < 0x80) /* ASCII inside a token: the common case */
+        return 0;
+    return s[0] == '\n' ? 1 : space_length(s, n);
+}
+
+/* The tokenizer of the encoder and the counter: the next token of s[*i..n),
+   split as str.split() splits, with its FNV-1a-64 hash in *h. Returns its
+   start and moves *i past it, or returns -1 when no token is left. Sets
+   *newline when a '\n' precedes it. No byte outside s[0..n) is read. */
+static inline int64_t next_token(const uint8_t *s, int64_t n, int64_t *i, uint64_t *h, int *newline)
+{
+    int64_t j = *i, k;
+    for (; j < n && (k = separator_length(s + j, n - j)) > 0; j += k)
+        if (s[j] == '\n')
+            *newline = 1;
+    if (j == n)
+        return -1;
+    const int64_t start = j;
+    uint64_t hash = FNV_OFFSET;
+    do
+        hash = (hash ^ s[j]) * FNV_PRIME;
+    while (++j < n && separator_length(s + j, n - j) == 0);
+    *i = j;
+    *h = hash;
+    return start;
+}
+
 /* Encode a block of text for cbos_train_chunk: lines split on '\n', tokens as
    str.split() splits them, ids[] the vocabulary id of each token (-1 out of
    vocabulary), sentence s = ids[offsets[s] .. offsets[s + 1]); lines without
    tokens make no sentence. The text is not validated (train() decodes the
-   corpus once before training), and no byte outside s[0..n) is read. ids
-   needs room for n / 2 + 1 entries and offsets for one more. Returns the
-   sentence count. */
+   corpus once before training). ids needs room for n / 2 + 1 entries and
+   offsets for one more. Returns the sentence count. */
 int64_t cbos_encode_block(const Index *X, const uint8_t *s, int64_t n, int32_t *ids, int64_t *offsets)
 {
-    int64_t n_ids = 0, n_sentences = 0, start = -1;
-    uint64_t h = FNV_OFFSET;
+    int64_t n_ids = 0, n_sentences = 0, i = 0, start;
+    int newline = 0;
+    uint64_t h;
     offsets[0] = 0;
-    for (int64_t i = 0, k; i <= n; i += k) {
-        k = 1;
-        /* a byte inside a token: ASCII (the common case), or any byte that starts no separator */
-        if (i < n && ((s[i] > ' ' && s[i] < 0x80) || (s[i] != '\n' && (k = space_length(s + i, n - i)) == 0))) {
-            k = 1;
-            if (start < 0)
-                start = i;
-            h = (h ^ s[i]) * FNV_PRIME;
-            continue;
-        }
-        int newline = i == n || s[i] == '\n'; /* the end of the block ends its last line */
-        if (start >= 0) {
-            ids[n_ids++] = *index_slot(X, s + start, i - start, h);
-            start = -1;
-            h = FNV_OFFSET;
-        }
+    while ((start = next_token(s, n, &i, &h, &newline)) >= 0) {
         if (newline && n_ids > offsets[n_sentences])
             offsets[++n_sentences] = n_ids;
+        newline = 0;
+        ids[n_ids++] = *index_slot(X, s + start, i - start, h);
     }
+    if (n_ids > offsets[n_sentences]) /* the end of the block ends its last line */
+        offsets[++n_sentences] = n_ids;
     return n_sentences;
+}
+
+/* -- vocabulary counter ---------------------------------------------------- */
+
+/* The distinct tokens of every block counted so far, in first-occurrence
+   order. Every array is allocated and grown here and freed by
+   cbos_count_release; the table doubles when it is half full. */
+typedef struct {
+    Index index;
+    int64_t *counts;           /* occurrences of word w */
+    int64_t blob_cap;          /* bytes allocated for index.blob */
+    int64_t words_cap;         /* words allocated for counts (index.offsets has one more) */
+} Counter;
+
+/* Append word s[0..n), seen once, at its empty table slot. */
+static int counter_add(Counter *C, const uint8_t *s, int64_t n, int32_t *slot)
+{
+    Index *X = &C->index;
+    const int64_t w = X->n_words, used = X->offsets[w];
+    if (w == C->words_cap) {
+        if (w >= INT32_MAX)
+            return -1;
+        int64_t *offsets = realloc(X->offsets, (size_t)(2 * w + 1) * sizeof(int64_t));
+        if (!offsets)
+            return -1;
+        X->offsets = offsets;
+        int64_t *counts = realloc(C->counts, (size_t)(2 * w) * sizeof(int64_t));
+        if (!counts)
+            return -1;
+        C->counts = counts;
+        C->words_cap = 2 * w;
+    }
+    if (used + n > C->blob_cap) {
+        int64_t cap = 2 * C->blob_cap;
+        while (cap < used + n)
+            cap *= 2;
+        uint8_t *blob = realloc(X->blob, (size_t)cap);
+        if (!blob)
+            return -1;
+        X->blob = blob;
+        C->blob_cap = cap;
+    }
+    memcpy(X->blob + used, s, (size_t)n);
+    X->offsets[w + 1] = used + n;
+    C->counts[w] = 1;
+    *slot = (int32_t)w;
+    X->n_words = w + 1;
+    if (2 * X->n_words <= X->mask + 1)
+        return 0;
+    int32_t *table = malloc((size_t)(2 * (X->mask + 1)) * sizeof(int32_t));
+    if (!table)
+        return -1;
+    free(X->table);
+    X->table = table;
+    X->mask = 2 * X->mask + 1;
+    cbos_index_build(X);
+    return 0;
+}
+
+/* Count the tokens of a block, split as cbos_encode_block splits them.
+   Returns 0, or -1 when memory ran out. */
+int64_t cbos_count_block(Counter *C, const uint8_t *s, int64_t n)
+{
+    Index *X = &C->index;
+    if (!C->words_cap) { /* the first block: room for 1024 words */
+        X->table = malloc(2048 * sizeof(int32_t));
+        X->offsets = calloc(1025, sizeof(int64_t));
+        C->counts = malloc(1024 * sizeof(int64_t));
+        X->blob = malloc(1 << 14);
+        if (!X->table || !X->offsets || !C->counts || !X->blob)
+            return -1; /* cbos_count_release frees what was allocated */
+        X->mask = 2047;
+        C->words_cap = 1024;
+        C->blob_cap = 1 << 14;
+        cbos_index_build(X);
+    }
+    int64_t i = 0, start;
+    int newline = 0; /* lines do not matter to the count */
+    uint64_t h;
+    while ((start = next_token(s, n, &i, &h, &newline)) >= 0) {
+        int32_t *slot = index_slot(X, s + start, i - start, h);
+        if (*slot >= 0)
+            C->counts[*slot]++;
+        else if (counter_add(C, s + start, i - start, slot))
+            return -1;
+    }
+    return 0;
+}
+
+void cbos_count_release(Counter *C)
+{
+    free(C->index.blob);
+    free(C->index.offsets);
+    free(C->index.table);
+    free(C->counts);
+    memset(C, 0, sizeof *C);
 }
 
 /* Fill the entries of the n_guide buckets of 2^shift slots (shift <= 15); the
@@ -824,6 +946,44 @@ class VocabIndex:
         return ids[: sentences[n]], sentences[: n + 1]
 
 
+class Counter(ctypes.Structure):
+    """Mirror of the C ``Counter`` struct; zeroed, it holds no words."""
+
+    _fields_ = [
+        ("index", Index),
+        ("counts", ctypes.c_void_p),
+        ("blob_cap", ctypes.c_int64),
+        ("words_cap", ctypes.c_int64),
+    ]
+
+
+def count_words(blocks: Iterable[bytes]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The distinct tokens of ``blocks`` and how often each occurs, in first-occurrence order.
+
+    Tokens are split as :meth:`VocabIndex.encode` splits them (so as
+    ``str.split()`` splits the decoded text) and counted in a hash table of
+    the kernel, which doubles when it is half full. Returns every word's
+    UTF-8 bytes back to back, the int64 offsets of word ``w``'s bytes,
+    ``blob[offsets[w]:offsets[w + 1]]``, and the int64 count of each word.
+    A failed allocation raises ``MemoryError``.
+    """
+    lib = load()
+    counter = Counter()
+    try:
+        for block in blocks:
+            if lib.cbos_count_block(ctypes.byref(counter), block, len(block)) < 0:
+                raise MemoryError("vocabulary counter ran out of memory")
+        n = counter.index.n_words
+        if n == 0:
+            return b"", np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        int64s = ctypes.POINTER(ctypes.c_int64)
+        offsets = np.ctypeslib.as_array(ctypes.cast(counter.index.offsets, int64s), (n + 1,)).copy()
+        counts = np.ctypeslib.as_array(ctypes.cast(counter.counts, int64s), (n,)).copy()
+        return ctypes.string_at(counter.index.blob, int(offsets[-1])), offsets, counts
+    finally:
+        lib.cbos_count_release(ctypes.byref(counter))
+
+
 # -- build and load --------------------------------------------------------
 
 
@@ -852,7 +1012,7 @@ def build() -> str:
         return target
     compiler = _compiler()
     if compiler is None:
-        raise RuntimeError("training needs a C compiler: neither 'cc' nor 'gcc' is on PATH")
+        raise RuntimeError("training and counting a corpus need a C compiler: neither 'cc' nor 'gcc' is on PATH")
     stem = os.path.join(directory, f".kernel-{digest}-{os.getpid()}-{secrets.token_hex(4)}")
     try:
         with open(stem + ".c", "w", encoding="utf-8") as handle:
@@ -892,6 +1052,10 @@ def load() -> ctypes.CDLL:
         ctypes.POINTER(Index), ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p
     ]
     lib.cbos_encode_block.restype = ctypes.c_int64
+    lib.cbos_count_block.argtypes = [ctypes.POINTER(Counter), ctypes.c_char_p, ctypes.c_int64]
+    lib.cbos_count_block.restype = ctypes.c_int64
+    lib.cbos_count_release.argtypes = [ctypes.POINTER(Counter)]
+    lib.cbos_count_release.restype = None
     lib.cbos_negative_guide.argtypes = [
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64
     ]

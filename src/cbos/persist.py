@@ -237,6 +237,9 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
                 f"{path}: header claims {v} words, vocab block has {len(words)}"
             )
         vocab = Vocab(words, counts)
+        if len(vocab.word2id) != v:  # a repeated word keeps its last id: no name reaches the earlier row
+            repeated = next(word for i, word in enumerate(words) if vocab.word2id[word] != i)
+            raise FormatError(f"{path}: corrupt vocab block at byte {vocab_at}: repeated word {repeated!r}")
         start = handle.tell()
         mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
     try:

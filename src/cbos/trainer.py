@@ -422,8 +422,8 @@ class Trainer:
 # -- corpus slicing and encoding ------------------------------------------
 
 
-def iter_slice_chunks(path: str, worker_id: int, n_workers: int) -> Iterator[tuple[int, bytes]]:
-    """(file offset, block) pairs of whole lines that together hold every line starting in this worker's byte range.
+def iter_slice_chunks(path: str, worker_id: int, n_workers: int) -> Iterator[bytes]:
+    """Blocks of whole lines that together hold every line starting in this worker's byte range.
 
     The file is split into ``n_workers`` equal byte ranges; a worker whose
     range starts mid-line skips forward to the next newline, so every line
@@ -437,7 +437,8 @@ def iter_slice_chunks(path: str, worker_id: int, n_workers: int) -> Iterator[tup
         if start > 0:
             handle.seek(start - 1)
             handle.readline()
-        yield from iter_line_blocks(handle, end, CHUNK_BYTES)
+        for _offset, block in iter_line_blocks(handle, end, CHUNK_BYTES):
+            yield block
 
 
 def encode_chunk(block: bytes, word2id: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -609,7 +610,7 @@ def train(
         last_print = time.monotonic()
         try:
             for _epoch in range(config.epochs):
-                for _offset, block in iter_slice_chunks(corpus_path, worker_id, config.workers):
+                for block in iter_slice_chunks(corpus_path, worker_id, config.workers):
                     if stop.is_set():
                         return
                     encoded = index.encode(block)

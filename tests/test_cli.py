@@ -357,6 +357,24 @@ def test_nn_oov_word_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def model_with_vocab_block(tmp_path, tokens, words, counts):
+    """A saved model of the vocabulary of ``tokens`` whose vocab block is rewritten to ``words`` and ``counts``.
+
+    Returns its path and the file offset of the vocab block.
+    """
+    vocab = build_vocab(tokens)
+    model = init_model(len(vocab), 64, 4, seed=1, minn=2, maxn=3)
+    path = tmp_path / "m.cbos"
+    save_bin(model, vocab, TrainConfig(dim=4, minn=2, maxn=3, bucket=64, min_count=1), str(path))
+    data = path.read_bytes()
+    header = struct.calcsize("<4sIQQIII")
+    at = header + 8 + struct.unpack_from("<Q", data, header)[0]  # the vocab block's length field
+    end = at + 8 + struct.unpack_from("<Q", data, at)[0]
+    payload = json.dumps({"words": words, "counts": counts}).encode()
+    path.write_bytes(data[:at] + struct.pack("<Q", len(payload)) + payload + data[end:])
+    return path, at
+
+
 @pytest.mark.parametrize(
     "words,counts",
     [
@@ -367,18 +385,18 @@ def test_nn_oov_word_is_runtime_error(tmp_path, capsys):
     ids=["lists of different lengths", "a count that is not an int", "words that are not str"],
 )
 def test_nn_on_a_corrupt_vocab_block_is_runtime_error(tmp_path, capsys, words, counts):
-    vocab = build_vocab(["alpha"] * 3 + ["beta"] * 2 + ["gamma"])
-    model = init_model(len(vocab), 64, 4, seed=1, minn=2, maxn=3)
-    path = tmp_path / "m.cbos"
-    save_bin(model, vocab, TrainConfig(dim=4, minn=2, maxn=3, bucket=64, min_count=1), str(path))
-    data = path.read_bytes()
-    header = struct.calcsize("<4sIQQIII")
-    at = header + 8 + struct.unpack_from("<Q", data, header)[0]  # the vocab block's length field
-    end = at + 8 + struct.unpack_from("<Q", data, at)[0]
-    payload = json.dumps({"words": words, "counts": counts}).encode()
-    path.write_bytes(data[:at] + struct.pack("<Q", len(payload)) + payload + data[end:])
+    path, at = model_with_vocab_block(tmp_path, ["alpha"] * 3 + ["beta"] * 2 + ["gamma"], words, counts)
     assert run(["nn", "-model", str(path), "-word", "alpha"]) == EXIT_RUNTIME
     assert f"error: {path}: corrupt vocab block at byte {at}:" in capsys.readouterr().err
+
+
+def test_nn_on_a_vocab_block_that_repeats_a_word_is_runtime_error(tmp_path, capsys):
+    tokens = ["alpha"] * 4 + ["beta"] * 3 + ["gamma"] * 2 + ["delta"]
+    path, at = model_with_vocab_block(tmp_path, tokens, ["alpha", "alpha", "beta", "delta"], [4, 3, 2, 1])
+    assert run(["nn", "-model", str(path), "-word", "alpha", "-k", "3"]) == EXIT_RUNTIME
+    out, err = capsys.readouterr()
+    assert out == ""  # alpha is not listed as its own neighbour
+    assert f"error: {path}: corrupt vocab block at byte {at}: repeated word 'alpha'" in err
 
 
 def test_nn_bad_k_is_usage_error(tmp_path):

@@ -15,6 +15,7 @@ from cbos.corpus import (
     build_vocab,
     build_vocab_from_file,
     discard_probability,
+    iter_line_blocks,
     negative_bounds,
     normalize_text,
 )
@@ -280,3 +281,21 @@ def test_vocab_from_file_reads_blocks_like_lines(tmp_path, monkeypatch):
     expected = build_vocab(text.split())
     assert vocab.words == expected.words
     assert vocab.counts.tolist() == expected.counts.tolist()
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    text=st.text(alphabet="ab \n", max_size=60), size=st.integers(1, 9), skip_first_line=st.booleans()
+)
+def test_iter_line_blocks_carry_their_file_offsets(tmp_path_factory, text, size, skip_first_line):
+    data = text.encode()
+    path = tmp_path_factory.mktemp("blocks") / "c.txt"
+    path.write_bytes(data)
+    with open(path, "rb") as handle:
+        start = len(handle.readline()) if skip_first_line else 0
+        pairs = list(iter_line_blocks(handle, len(data), size))
+    blocks = [block for _, block in pairs]
+    assert b"".join(blocks) == data[start:]
+    assert all(block.endswith(b"\n") for block in blocks[:-1])
+    # each block carries the file offset of its first byte, for decode errors
+    assert [offset for offset, _ in pairs] == [start + len(b"".join(blocks[:i])) for i in range(len(blocks))]

@@ -1,3 +1,4 @@
+import collections
 import ctypes
 import functools
 import itertools
@@ -18,6 +19,7 @@ import cbos.trainer as trainer_module
 from cbos import kernel
 from cbos.corpus import (
     CorpusDecodeError,
+    EmptyVocabError,
     Vocab,
     build_negative_table,
     build_vocab,
@@ -321,6 +323,69 @@ def test_encode_returns_arrays_of_its_own():
     assert offsets.tolist() == want_offsets.tolist()
 
 
+# -- vocabulary counter against build_vocab -----------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(text_piece, max_size=80), min_count=st.integers(1, 3), read_bytes=st.integers(1, 24))
+def test_vocab_count_matches_build_vocab(tmp_path_factory, pieces, min_count, read_bytes):
+    # Small blocks, so that words repeat across blocks; the vocabulary words tie often.
+    text = "".join(pieces)
+    path = tmp_path_factory.mktemp("count") / "corpus.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "READ_BYTES", read_bytes)
+        try:
+            want = build_vocab(text.split(), min_count)
+        except EmptyVocabError:
+            with pytest.raises(EmptyVocabError, match="^no words with count >= min_count$"):
+                build_vocab_from_file(str(path), min_count)
+            return
+        got = build_vocab_from_file(str(path), min_count)
+    assert got.words == want.words
+    assert got.counts.tolist() == want.counts.tolist()
+
+
+def test_vocab_count_grows_its_table_past_100k_words(tmp_path):
+    words = [f"w{i}" for i in range(120_000)]
+    tokens = words[::7] + words + words[::3] + ["ü"] * 5
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(" ".join(tokens[i : i + 20]) for i in range(0, len(tokens), 20)), encoding="utf-8")
+    sizes = []
+    for min_count in (1, 2):
+        got = build_vocab_from_file(str(path), min_count)
+        want = build_vocab(tokens, min_count)
+        assert got.words == want.words
+        assert got.counts.tolist() == want.counts.tolist()
+        sizes.append(len(got))
+    assert sizes == [120_001, 51_429]  # the table grew from 2,048 to 262,144 slots
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=st.lists(arbitrary_bytes, max_size=4))
+def test_count_words_splits_any_bytes_like_the_encoder(blocks):
+    blob, offsets, counts = kernel.count_words(blocks)
+    words = [blob[a:b] for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+    escaped = (block.decode("utf-8", "surrogateescape").split() for block in blocks)
+    want = collections.Counter(token.encode("utf-8", "surrogateescape") for tokens in escaped for token in tokens)
+    assert list(zip(words, counts.tolist())) == list(want.items())  # first-occurrence order
+
+
+def test_count_words_raises_memory_error_when_the_kernel_runs_out(monkeypatch):
+    lib = kernel.load()
+
+    class OutOfMemory:
+        cbos_count_release = lib.cbos_count_release
+
+        @staticmethod
+        def cbos_count_block(counter, block, n):
+            return -1
+
+    monkeypatch.setattr(kernel, "load", lambda: OutOfMemory)
+    with pytest.raises(MemoryError, match="vocabulary counter ran out of memory"):
+        kernel.count_words([b"a b\n"])
+
+
 INVALID_UTF8 = {
     "stray continuation byte": b"ok \x80 tail",
     "invalid start byte": b"word \xff\n",
@@ -416,9 +481,13 @@ def test_import_and_queries_work_without_a_compiler(tmp_path):
     questions = tmp_path / "q.txt"
     questions.write_text(": capitals\nparis france rome italy\nberlin germany madrid spain\n")
     script = (
-        "import sys, cbos; from cbos.cli import run\n"
+        "import contextlib, io, sys, cbos; from cbos.cli import run\n"
         f"assert run(['nn', '-model', {str(model_path)!r}, '-word', 'paris', '-k', '2']) == 0\n"
         f"assert run(['eval-analogy', '-model', {str(model_path)!r}, '-questions', {str(questions)!r}]) == 0\n"
+        f"assert run(['dump-vocab', '-model', {str(model_path)!r}]) == 0\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"  # counting a corpus needs the kernel
+        f"    assert run(['dump-vocab', '-input', {str(vocab_path)!r}, '-minCount', '1']) == 2\n"
+        "assert 'C compiler' in err.getvalue(), err.getvalue()\n"
         f"sys.exit(run(['train', '-input', {str(vocab_path)!r}, '-output', {str(tmp_path / 'out')!r},"
         " '-model', 'cbos', '-minCount', '1', '-minn', '0', '-maxn', '0']))\n"
     )
@@ -426,11 +495,12 @@ def test_import_and_queries_work_without_a_compiler(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.returncode == 2, proc.stderr  # only training needs the compiler
+    assert proc.returncode == 2, proc.stderr  # training needs the compiler too
     assert "C compiler" in proc.stderr
     lines = proc.stdout.splitlines()
     assert all(re.fullmatch(r"\S+ -?\d\.\d{4}", line) for line in lines[:2])
     assert "capitals" in proc.stdout
+    assert "paris\t3\t0\n" in proc.stdout  # dump-vocab -model
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
@@ -483,7 +553,7 @@ def reference_run(config, path, vocab):
     trainer = Trainer(model, vocab, config, trace=events.append)
     total = vocab.total_tokens * config.epochs
     for _epoch in range(config.epochs):
-        for _, block in iter_slice_chunks(path, 0, 1):
+        for block in iter_slice_chunks(path, 0, 1):
             ids, offsets = encode_chunk(block, vocab.word2id)
             for start, end in zip(offsets[:-1], offsets[1:]):
                 kept, _scanned = trainer.prepare_sentence(ids[start:end])

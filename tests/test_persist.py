@@ -292,6 +292,7 @@ BAD_VOCAB_BLOCKS = {
     "a negative count": {"words": ["alpha", "beta", "γάμμα", "delta"], "counts": [4, 3, -2, 2]},
     "a bool count": {"words": ["alpha", "beta", "γάμμα", "delta"], "counts": [4, 3, True, 2]},
     "counts summing past int64": {"words": ["alpha", "beta", "γάμμα", "delta"], "counts": [2**62, 2**62, 2, 2]},
+    "a repeated word": {"words": ["alpha", "alpha", "beta", "delta"], "counts": [4, 3, 2, 2]},
 }
 
 

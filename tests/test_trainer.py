@@ -520,7 +520,7 @@ def slice_sentences(path, worker_id, n_workers):
     """Token lists of the non-blank lines in the blocks of one worker's slice."""
     return [
         line.split()
-        for _, block in iter_slice_chunks(str(path), worker_id, n_workers)
+        for block in iter_slice_chunks(str(path), worker_id, n_workers)
         for line in block.decode("utf-8").split("\n")
         if line.split()
     ]
@@ -571,12 +571,9 @@ def test_iter_slice_chunks_hold_whole_lines(tmp_path_factory, text, n_workers, c
     path.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trainer_module, "CHUNK_BYTES", chunk_bytes)
-        pairs = [pair for w in range(n_workers) for pair in iter_slice_chunks(str(path), w, n_workers)]
-    blocks = [block for _, block in pairs]
+        blocks = [block for w in range(n_workers) for block in iter_slice_chunks(str(path), w, n_workers)]
     assert b"".join(blocks) == text.encode()
     assert all(b.endswith(b"\n") for b in blocks[:-1])
-    # each block carries the file offset of its first byte
-    assert [start for start, _ in pairs] == [len(b"".join(blocks[:i])) for i in range(len(blocks))]
 
 
 def test_encode_chunk_ids_and_offsets():
@@ -748,6 +745,7 @@ def test_train_never_runs_the_python_reference(tmp_path, monkeypatch, workers):
 
     for name in ("Trainer", "ns_update", "compute_hidden", "encode_chunk"):
         monkeypatch.setattr(trainer_module, name, reference)  # worker threads read the same module
+    monkeypatch.setattr(corpus_module, "build_vocab", reference)  # the vocabulary is counted in the kernel
     path = small_corpus(tmp_path)
     result = train(quick_config(workers=workers, minn=3, maxn=6, bucket=500), path)
     assert result.stats.tokens_scanned == result.vocab.total_tokens * 2
