@@ -26,9 +26,10 @@ holds.
 The C source below is compiled on first use with the local C compiler into
 ``$XDG_CACHE_HOME/cbos`` (default ``~/.cache/cbos``; a directory in the temp
 dir when that is not writable), under a name keyed by a hash of the source
-and the flags, and loaded through :mod:`ctypes`. Importing this module
-compiles nothing, so the query side works without a compiler; training and
-counting a corpus's vocabulary need one.
+and the flags, and loaded through :mod:`ctypes`. Compiling a new build
+removes all but the ``KEPT_BUILDS`` newest builds from that directory.
+Importing this module compiles nothing, so the query side works without a
+compiler; training and counting a corpus's vocabulary need one.
 
 Floating point is strict (no ``-ffast-math``, no contraction into fused
 multiply-adds), so a given build is bit-deterministic. The dot products
@@ -42,6 +43,7 @@ and the reference consume the same values without sharing a buffer order.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -62,6 +64,10 @@ TOKENS, LOSS, SKIPGRAM_UPDATES, BAG_UPDATES = range(4)
 N_SLOTS = 4
 
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+# Builds kept in the cache after compiling a new one: more than one, so that
+# checkouts of different versions used in turn do not recompile every time.
+KEPT_BUILDS = 4
 
 C_SOURCE = r"""
 #include <math.h>
@@ -1003,8 +1009,27 @@ def _cache_dir() -> str:
     raise RuntimeError(f"no writable cache directory for the training kernel (tried {base}/cbos and the temp dir)")
 
 
+def _prune_builds(directory: str, keep: str) -> None:
+    """Remove all but the ``KEPT_BUILDS`` newest kernel builds in ``directory``, never ``keep``.
+
+    A build another process removes meanwhile is skipped. A process that
+    has a removed build loaded keeps using it.
+    """
+    builds = []
+    for entry in os.scandir(directory):
+        if entry.name.startswith("kernel-") and entry.name.endswith(".so"):
+            with contextlib.suppress(FileNotFoundError):
+                builds.append((entry.path == keep, entry.stat().st_mtime, entry.path))
+    for _, _, path in sorted(builds, reverse=True)[KEPT_BUILDS:]:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+
+
 def build() -> str:
-    """Path of the compiled kernel, compiling it into the cache directory if missing."""
+    """Path of the compiled kernel, compiling it into the cache directory if missing.
+
+    After publishing a new build, only the ``KEPT_BUILDS`` newest stay.
+    """
     digest = hashlib.sha256((C_SOURCE + "\0" + " ".join(FLAGS)).encode()).hexdigest()[:16]
     directory = _cache_dir()
     target = os.path.join(directory, f"kernel-{digest}.so")
@@ -1035,6 +1060,7 @@ def build() -> str:
         for leftover in (stem + ".c", stem + ".so"):
             if os.path.exists(leftover):
                 os.unlink(leftover)
+    _prune_builds(directory, target)
     return target
 
 

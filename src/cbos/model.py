@@ -17,7 +17,9 @@ gathered rows, and one ``np.add.at`` per matrix for the update.
 
 At query time :func:`composed_word_matrix` averages every word's rows in
 numpy, one row per word per step, so each vector is bit-identical to the
-``mean`` of that word's rows alone.
+``mean`` of that word's rows alone. A model read by
+:func:`cbos.persist.load_bin` carries those vectors from its file
+(``word_matrix``), so queries on it never compose them again.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ class EmbeddingModel:
     ``input_matrix`` has ``V + bucket`` rows; rows ``>= V`` belong to hashed
     n-grams. ``output_matrix`` has one row per vocabulary word. Row counts
     are fixed at construction.
+
+    ``word_matrix`` is set only by :func:`cbos.persist.load_bin`, for n-gram
+    models: the :func:`composed_word_matrix` stored in the file. A loaded
+    model is read-only (writing a matrix raises ``ValueError``), so it always
+    agrees with the rows it was composed from. To change a loaded model,
+    build a new one from copies of its input and output matrices.
     """
 
     input_matrix: np.ndarray
@@ -50,6 +58,7 @@ class EmbeddingModel:
     bucket: int = 0
     minn: int = 0
     maxn: int = 0
+    word_matrix: np.ndarray | None = None
 
     @property
     def vocab_size(self) -> int:
@@ -133,8 +142,9 @@ def model_subword_config(model: EmbeddingModel) -> SubwordConfig:
 def composed_word_matrix(model: EmbeddingModel, vocab: Vocab) -> np.ndarray:
     """Per-word vectors as used downstream: mean of word row and n-gram rows.
 
-    With n-grams disabled this is just the first ``V`` input rows. The result
-    is always a fresh array, safe to normalize or mutate.
+    With n-grams disabled this is just the first ``V`` input rows, and a
+    loaded model's ``word_matrix`` is copied as it is. The result is always
+    a fresh array, safe to normalize or mutate.
 
     Row ``w`` equals ``input_matrix[cache[w]].mean(axis=0)`` bit for bit: the
     sum starts from every word's first row and adds its ``j``-th row at step
@@ -145,6 +155,8 @@ def composed_word_matrix(model: EmbeddingModel, vocab: Vocab) -> np.ndarray:
         raise ValueError(
             f"vocab size {len(vocab)} does not match model vocab {model.vocab_size}"
         )
+    if model.word_matrix is not None:
+        return model.word_matrix.copy()
     config = model_subword_config(model)
     if not config.enabled:
         return model.input_matrix[: len(vocab)].copy()

@@ -4,15 +4,20 @@ The `.vec` file is the interchange format (header line ``V dim``, then one
 word and its composed vector per line) and is lossy by construction: floats
 print with fixed decimals and n-gram rows are baked into per-word means.
 The `.cbos` binary is the source of truth, preserving both matrices, the
-vocabulary with counts, and the training configuration bit for bit.
+vocabulary with counts, and the training configuration bit for bit. From
+format version 2 on, a file of an n-gram model also stores every word's
+composed vector (:func:`cbos.model.composed_word_matrix` at save time), so
+queries on the loaded model never gather n-gram rows; version 1 files,
+which lack that block, still load.
 
 Loading a `.cbos` file parses and checks its header and metadata, then maps
-the file copy-on-write: both matrices are views into that mapping, not
-copies. Their pages are read when first touched (from disk, on a cold page
-cache), writes into them stay private to the process, and the loaded model
-holds one file descriptor until its matrices are dropped. So the file must
-not be truncated or rewritten in place while a loaded model is alive;
-:func:`save_bin` replaces it atomically, which is safe.
+the file read-only: the matrices are views into that mapping, not copies.
+Their pages are read when first touched (from disk, on a cold page cache),
+writing into them raises ``ValueError``, and the loaded model holds one
+file descriptor until its matrices are dropped. So the file must not be
+truncated or rewritten in place while a loaded model is alive;
+:func:`save_bin` replaces it atomically, which is safe. To change a loaded
+model, copy its matrices into a new :class:`cbos.model.EmbeddingModel`.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .subword import SubwordConfig
 from .trainer import TrainConfig
 
 MAGIC = b"CBOS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # load_bin also reads version 1, which has no word block
 
 # magic, version, V, bucket, dim, minn, maxn
 _HEADER = struct.Struct("<4sIQQIII")
@@ -148,9 +153,11 @@ def save_bin(model: EmbeddingModel, vocab: Vocab, config: TrainConfig, path: str
     Layout: fixed header (magic, version, V, bucket, dim, minn, maxn), a
     JSON config block, a JSON vocab block (words and counts, preserving id
     order), then the input and output matrices as row-major little-endian
-    float32. Only float32 models are serialized; the format has no wider
-    payload type. The file appears whole or not at all (see
-    :func:`_atomic_write`).
+    float32. For an n-gram model (``minn > 0``) a ``V x dim`` word block of
+    the same type follows: :func:`cbos.model.composed_word_matrix`, which
+    a loaded model copies from its own block instead of composing. Only
+    float32 models are serialized; the format has no wider payload type.
+    The file appears whole or not at all (see :func:`_atomic_write`).
     """
     if np.dtype(model.dtype) != np.float32:
         raise ValueError(f"only float32 models are serialized, got {model.dtype}")
@@ -173,6 +180,8 @@ def save_bin(model: EmbeddingModel, vocab: Vocab, config: TrainConfig, path: str
         _write_block(out, json.dumps(vocab_block).encode("utf-8"))
         _matrix_bytes(model.input_matrix).tofile(out)
         _matrix_bytes(model.output_matrix).tofile(out)
+        if model.minn > 0:
+            _matrix_bytes(composed_word_matrix(model, vocab)).tofile(out)
 
 
 def _matrix_end(offset: int, size: int, rows: int, dim: int, what: str) -> int:
@@ -190,8 +199,9 @@ def _matrix_end(offset: int, size: int, rows: int, dim: int, what: str) -> int:
 def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
     """Read a native binary model; exact inverse of :func:`save_bin`.
 
-    Header and metadata are checked before the file is mapped. The
-    matrices are copy-on-write views of the mapping, so the model holds
+    Reads format versions 1 and 2. Header and metadata are checked before
+    the file is mapped. The matrices, and a version 2 n-gram model's
+    ``word_matrix``, are read-only views of the mapping, so the model holds
     one file descriptor while it is alive, and the file must not be
     truncated or rewritten in place meanwhile (see the module docstring).
     """
@@ -200,10 +210,10 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
         magic, version, v, bucket, dim, minn, maxn = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise FormatError(f"{path}: not a model file (bad magic {magic!r})")
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise FormatError(
                 f"{path}: unsupported format version {version} "
-                f"(this build reads {FORMAT_VERSION})"
+                f"(this build reads versions 1 and {FORMAT_VERSION})"
             )
         try:
             if dim < 1:
@@ -241,10 +251,12 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
             repeated = next(word for i, word in enumerate(words) if vocab.word2id[word] != i)
             raise FormatError(f"{path}: corrupt vocab block at byte {vocab_at}: repeated word {repeated!r}")
         start = handle.tell()
-        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
+        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    has_words = version >= 2 and minn > 0
     try:
         middle = _matrix_end(start, len(mapping), v + bucket, dim, "input")
-        end = _matrix_end(middle, len(mapping), v, dim, "output")
+        words_at = _matrix_end(middle, len(mapping), v, dim, "output")
+        end = _matrix_end(words_at, len(mapping), v, dim, "word") if has_words else words_at
         if end != len(mapping):
             raise FormatError(f"{path}: unexpected trailing bytes")
     except FormatError:
@@ -252,6 +264,9 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
         raise
     input_matrix = np.frombuffer(mapping, dtype="<f4", count=(v + bucket) * dim, offset=start)
     output_matrix = np.frombuffer(mapping, dtype="<f4", count=v * dim, offset=middle)
+    word_matrix = None
+    if has_words:
+        word_matrix = np.frombuffer(mapping, dtype="<f4", count=v * dim, offset=words_at).reshape(v, dim)
     model = EmbeddingModel(
         input_matrix=input_matrix.reshape(v + bucket, dim),
         output_matrix=output_matrix.reshape(v, dim),
@@ -259,5 +274,6 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
         bucket=bucket,
         minn=minn,
         maxn=maxn,
+        word_matrix=word_matrix,
     )
     return model, vocab, config

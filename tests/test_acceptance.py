@@ -393,8 +393,7 @@ def pair_questions():
     ]
 
 
-@functools.lru_cache(maxsize=1)
-def pair_corpus_path() -> str:
+def write_pair_corpus(directory: str) -> str:
     """8 pairs x 500 sentences; both pair words flank a pair-specific link word."""
     fillers = [f"filler{i:02d}" for i in range(40)]
     rng = np.random.default_rng(0)
@@ -406,7 +405,7 @@ def pair_corpus_path() -> str:
                 f"{f[0]} city {capital} link{idx} {country} nation {f[1]}"
             )
     rng.shuffle(lines)
-    path = Path(tempfile.mkdtemp(prefix="cbos-accept-")) / "pairs.txt"
+    path = Path(directory) / "pairs.txt"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -432,10 +431,12 @@ def pair_config(seed: int, workers: int = 1) -> TrainConfig:
 def pair_accuracies(workers: int) -> tuple[float, ...]:
     questions = pair_questions()
     accs = []
-    for seed in (1, 2, 3):
-        result = train(pair_config(seed, workers), pair_corpus_path())
-        report = evaluate(result.model, result.vocab, questions)
-        accs.append(report.total_acc)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = write_pair_corpus(tmp)
+        for seed in (1, 2, 3):
+            result = train(pair_config(seed, workers), corpus)
+            report = evaluate(result.model, result.vocab, questions)
+            accs.append(report.total_acc)
     return tuple(accs)
 
 

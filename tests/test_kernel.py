@@ -471,6 +471,44 @@ def test_build_caches_by_source_hash(tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "cbos") == [os.path.basename(first)]
 
 
+def stale_builds(directory, count):
+    """``count`` fake kernel builds in ``directory``, newest first."""
+    paths = [directory / f"kernel-{i:016x}.so" for i in range(count)]
+    for age, path in enumerate(paths, start=1):
+        path.write_bytes(b"stale")
+        os.utime(path, (1e9 - age, 1e9 - age))
+    return paths
+
+
+def test_a_new_build_prunes_the_cache_to_the_newest_builds(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "cbos"
+    cache.mkdir()
+    old = stale_builds(cache, 6)
+    (cache / "notes.txt").write_text("not a build")
+    built = kernel.build()
+    kept = sorted(os.listdir(cache))
+    assert kernel.KEPT_BUILDS == 4
+    assert kept == sorted([os.path.basename(built), "notes.txt"] + [p.name for p in old[:3]])
+    assert kernel.build() == built  # a cached build prunes nothing
+    assert sorted(os.listdir(cache)) == kept
+
+
+def test_pruning_keeps_the_new_build_and_skips_removed_ones(tmp_path, monkeypatch):
+    paths = stale_builds(tmp_path, kernel.KEPT_BUILDS + 2)
+    unlink = os.unlink
+
+    def racing_unlink(path):
+        unlink(path)  # another process got there first
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(os, "unlink", racing_unlink)
+    kernel._prune_builds(str(tmp_path), str(paths[-1]))  # the new build, even if its clock is behind
+    monkeypatch.undo()
+    kept = paths[: kernel.KEPT_BUILDS - 1] + paths[-1:]
+    assert sorted(os.listdir(tmp_path)) == sorted(p.name for p in kept)
+
+
 def test_import_and_queries_work_without_a_compiler(tmp_path):
     vocab_path = tmp_path / "corpus.txt"
     vocab_path.write_text("paris france rome italy berlin germany madrid spain\n" * 3)

@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cbos.analogy import VectorSpace
+import cbos.model
+from cbos.analogy import AnalogyQuestion, VectorSpace, evaluate
 from cbos.corpus import EmptyVocabError, Vocab, build_vocab
-from cbos.model import composed_word_matrix, init_model
+from cbos.model import EmbeddingModel, composed_word_matrix, init_model
 from cbos.persist import (
     FORMAT_VERSION,
     FormatError,
@@ -175,7 +176,7 @@ def test_bin_unsupported_version(tmp_path):
     data = bytearray(path.read_bytes())
     data[4:8] = struct.pack("<I", FORMAT_VERSION + 9)
     path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="version"):
+    with pytest.raises(FormatError, match=rf"version {FORMAT_VERSION + 9} \(this build reads versions 1 and 2\)"):
         load_bin(str(path))
 
 
@@ -192,10 +193,10 @@ def test_bin_truncation_reports_byte_offset(tmp_path, keep):
 
 
 def test_bin_truncation_offset_inside_matrix(tmp_path):
-    model, vocab, config, path = saved_bytes(tmp_path)
+    model, vocab, config, path = saved_bytes(tmp_path, minn=2, maxn=3, bucket=64)
     data = path.read_bytes()
-    matrix_bytes = 4 * model.dim * (model.input_matrix.shape[0] + len(vocab))
-    matrix_start = len(data) - matrix_bytes
+    rows = model.input_matrix.shape[0] + 2 * len(vocab)  # input, output and word blocks
+    matrix_start = len(data) - 4 * model.dim * rows
     keep = matrix_start + 4 * model.dim + 2  # cut mid-float in row 1
     path.write_bytes(data[:keep])
     with pytest.raises(TruncatedFileError) as info:
@@ -252,18 +253,20 @@ def test_bin_rejects_header_no_model_can_have(tmp_path, fields):
         load_bin(str(path))
 
 
-# -- .cbos matrices are a copy-on-write mapping of the file ------------------
+# -- .cbos matrices are a read-only mapping of the file ----------------------
 
 
 def test_writes_into_a_loaded_model_leave_the_file_unchanged(tmp_path):
     model, _, _, path = saved_bytes(tmp_path, minn=2, maxn=3, bucket=64)
     before = path.read_bytes()
     loaded, _, _ = load_bin(str(path))
-    loaded.input_matrix += 1.0
-    loaded.output_matrix[0] = 7.0
-    np.testing.assert_array_equal(loaded.input_matrix, model.input_matrix + 1.0)
-    assert path.read_bytes() == before
-    del loaded
+    for matrix in (loaded.input_matrix, loaded.output_matrix, loaded.word_matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0] = 7.0
+    np.testing.assert_array_equal(loaded.input_matrix, model.input_matrix)
+    np.testing.assert_array_equal(loaded.output_matrix, model.output_matrix)
     assert path.read_bytes() == before
 
 
@@ -275,6 +278,85 @@ def test_save_over_the_file_a_live_model_maps(tmp_path):
     assert path.read_bytes() == before
     np.testing.assert_array_equal(loaded.input_matrix, model.input_matrix)
     np.testing.assert_array_equal(loaded.output_matrix, model.output_matrix)
+
+
+# -- format version 2: the composed word vectors of n-gram models -----------
+
+
+def matrices_at(data: bytes) -> int:
+    """Where the input matrix starts."""
+    at, length = vocab_block(data)
+    return at + 8 + length
+
+
+def test_loaded_word_matrix_is_the_composition_of_the_loaded_rows(tmp_path):
+    _, _, _, path = saved_bytes(tmp_path, minn=2, maxn=4, bucket=64, dim=7, seed=11)
+    loaded, vocab, _ = load_bin(str(path))
+    rebuilt = EmbeddingModel(
+        loaded.input_matrix.copy(), loaded.output_matrix.copy(), loaded.dim, loaded.bucket, loaded.minn, loaded.maxn
+    )
+    assert rebuilt.word_matrix is None
+    assert loaded.word_matrix.shape == (len(vocab), loaded.dim)
+    assert loaded.word_matrix.tobytes() == composed_word_matrix(rebuilt, vocab).tobytes()
+    copied = composed_word_matrix(loaded, vocab)
+    assert copied.flags.writeable and copied.tobytes() == loaded.word_matrix.tobytes()
+
+
+def test_version_1_file_without_word_block_loads(tmp_path):
+    model, vocab, config, path = saved_bytes(tmp_path, minn=2, maxn=3, bucket=64)
+    data = path.read_bytes()
+    v1 = tmp_path / "v1.cbos"
+    v1.write_bytes(data[:4] + struct.pack("<I", 1) + data[8 : len(data) - 4 * model.dim * len(vocab)])
+    old, old_vocab, old_config = load_bin(str(v1))
+    new, _, _ = load_bin(str(path))
+    assert old.word_matrix is None
+    assert old.input_matrix.tobytes() == model.input_matrix.tobytes()
+    assert old.output_matrix.tobytes() == model.output_matrix.tobytes()
+    assert VectorSpace(old, old_vocab).unit.tobytes() == VectorSpace(new, vocab).unit.tobytes()
+    resaved = tmp_path / "resaved.cbos"
+    save_bin(old, old_vocab, old_config, str(resaved))
+    assert resaved.read_bytes() == data  # saving composes the block a version 1 file lacks
+
+
+def test_bin_truncation_inside_word_block(tmp_path):
+    model, vocab, _, path = saved_bytes(tmp_path, minn=2, maxn=3, bucket=64)
+    data = path.read_bytes()
+    words_at = len(data) - 4 * model.dim * len(vocab)
+    assert words_at == matrices_at(data) + 4 * model.dim * (model.input_matrix.shape[0] + len(vocab))
+    path.write_bytes(data[: words_at + 4 * model.dim + 2])  # cut mid-float in row 1
+    with pytest.raises(TruncatedFileError, match=rf"truncated at byte {words_at + 4 * model.dim}: word matrix"):
+        load_bin(str(path))
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(FormatError, match="trailing"):
+        load_bin(str(path))
+
+
+@pytest.mark.parametrize("bucket", [0, 8])
+def test_ngram_free_files_carry_no_word_block(tmp_path, bucket):
+    model, vocab, _, path = saved_bytes(tmp_path, bucket=bucket)
+    data = path.read_bytes()
+    assert len(data) == matrices_at(data) + 4 * model.dim * (len(vocab) + bucket + len(vocab))
+    loaded, _, _ = load_bin(str(path))
+    assert loaded.word_matrix is None
+
+
+def test_queries_and_saves_of_a_loaded_model_compose_nothing(tmp_path, monkeypatch):
+    model, vocab, config, path = saved_bytes(tmp_path, minn=2, maxn=3, bucket=64)
+    unit = VectorSpace(model, vocab).unit
+    save_vec(model, vocab, str(tmp_path / "m.vec"))
+    loaded, loaded_vocab, loaded_config = load_bin(str(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a loaded model's n-gram rows were gathered")
+
+    monkeypatch.setattr(cbos.model, "build_subword_cache", refuse)
+    assert VectorSpace(loaded, loaded_vocab).unit.tobytes() == unit.tobytes()
+    question = AnalogyQuestion("alpha", "beta", "γάμμα", "delta", "pairs")
+    assert evaluate(loaded, loaded_vocab, [question]).total.attempted == 1
+    save_vec(loaded, loaded_vocab, str(tmp_path / "again.vec"))
+    assert (tmp_path / "again.vec").read_bytes() == (tmp_path / "m.vec").read_bytes()
+    save_bin(loaded, loaded_vocab, loaded_config, str(tmp_path / "again.cbos"))
+    assert (tmp_path / "again.cbos").read_bytes() == path.read_bytes()
 
 
 def vocab_block(data: bytes) -> tuple[int, int]:
