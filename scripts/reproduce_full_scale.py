@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cbos.analogy import evaluate, load_analogy_file
 from cbos.corpus import normalize_text
-from cbos.persist import save_bin, save_vec
+from cbos.persist import load_bin, save_bin, save_vec
 from cbos.trainer import TrainConfig, train
 
 SCHEDULES = ("cbow", "skipgram", "cbos")
@@ -61,11 +61,12 @@ def parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
-def prepare_corpus(args: argparse.Namespace) -> str:
+def prepare_corpus(args: argparse.Namespace, scratch: str) -> str:
+    """The corpus to train on: the input itself, or its prefix and/or normalized copy in ``scratch``."""
     path = args.corpus
     if args.max_bytes is None and not args.normalize:
         return path
-    prepared = Path(tempfile.mkdtemp(prefix="cbos-full-")) / "corpus.txt"
+    prepared = Path(scratch) / "corpus.txt"
     remaining = args.max_bytes if args.max_bytes is not None else float("inf")
     with open(path, encoding="utf-8", errors="replace") as src, open(
         prepared, "w", encoding="utf-8"
@@ -80,33 +81,41 @@ def prepare_corpus(args: argparse.Namespace) -> str:
     return str(prepared)
 
 
+def run_schedule(kind: str, args: argparse.Namespace, corpus: str, questions, out_dir: Path):
+    """Train one schedule, save it, and score the saved model: (analogy report, training seconds)."""
+    config = TrainConfig(model_kind=kind, workers=args.thread, seed=args.seed)
+    print(f"== training {kind} (dim={config.dim}, ws={config.ws}, "
+          f"epochs={config.epochs}, workers={config.workers})")
+    t0 = time.monotonic()
+    result = train(config, corpus, progress=sys.stderr)
+    wall = time.monotonic() - t0
+    prefix = out_dir / kind
+    save_bin(result.model, result.vocab, config, f"{prefix}.cbos")
+    del result  # free the training copy (800 MB at the default bucket) before the queries
+    # the saved file holds the composed word vectors, so neither query composes them again
+    model, vocab, _config = load_bin(f"{prefix}.cbos")
+    save_vec(model, vocab, f"{prefix}.vec")
+    return evaluate(model, vocab, questions), wall
+
+
 def main() -> int:
     args = parse_args()
-    corpus = prepare_corpus(args)
     questions = load_analogy_file(args.questions)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for kind in SCHEDULES:
-        config = TrainConfig(model_kind=kind, workers=args.thread, seed=args.seed)
-        print(f"== training {kind} (dim={config.dim}, ws={config.ws}, "
-              f"epochs={config.epochs}, workers={config.workers})")
-        t0 = time.monotonic()
-        result = train(config, corpus, progress=sys.stderr)
-        wall = time.monotonic() - t0
-        prefix = out_dir / kind
-        save_bin(result.model, result.vocab, config, f"{prefix}.cbos")
-        save_vec(result.model, result.vocab, f"{prefix}.vec")
-        report = evaluate(result.model, result.vocab, questions)
-        del result  # free this model (800 MB at the default bucket) before the next one trains
-        rows.append((kind, report, wall))
-        acc = report.total_acc
-        print(
-            f"{kind}: total {acc if acc is None else f'{acc:.2f}%'} "
-            f"(semantic {report.semantic_acc}, syntactic {report.syntactic_acc}), "
-            f"{wall / 60:.1f} min"
-        )
+    with tempfile.TemporaryDirectory(prefix="cbos-full-") as scratch:
+        corpus = prepare_corpus(args, scratch)
+        for kind in SCHEDULES:
+            report, wall = run_schedule(kind, args, corpus, questions, out_dir)
+            rows.append((kind, report, wall))
+            acc = report.total_acc
+            print(
+                f"{kind}: total {acc if acc is None else f'{acc:.2f}%'} "
+                f"(semantic {report.semantic_acc}, syntactic {report.syntactic_acc}), "
+                f"{wall / 60:.1f} min"
+            )
 
     print("\nschedule    semantic  syntactic      total  time(min)  expected")
     times = {kind: wall for kind, _, wall in rows}

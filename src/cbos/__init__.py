@@ -18,7 +18,7 @@ from .analogy import (
 from .corpus import Vocab, build_vocab, build_vocab_from_file, normalize_text
 from .model import EmbeddingModel, composed_word_matrix, init_model
 from .persist import load_bin, load_vec, save_bin, save_vec
-from .subword import SubwordConfig, extract_ngrams, subword_ids
+from .subword import SubwordConfig, subword_ids
 from .trainer import TrainConfig, TrainResult, train
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "build_vocab_from_file",
     "composed_word_matrix",
     "evaluate",
-    "extract_ngrams",
     "init_model",
     "load_analogy_file",
     "load_bin",

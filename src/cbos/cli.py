@@ -175,7 +175,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         if trace_handle is not None:
             trace_handle.close()
     save_bin(result.model, result.vocab, config, args.output + ".cbos")
-    save_vec(result.model, result.vocab, args.output + ".vec", precision=args.precision)
+    # the file just written holds the composed word vectors: read them back, not compose them again
+    model, vocab, _config = load_bin(args.output + ".cbos")
+    save_vec(model, vocab, args.output + ".vec", precision=args.precision)
     minutes, seconds = divmod(result.stats.duration, 60.0)
     print(f"training time: {int(minutes)}m {seconds:.3f}s")
     return EXIT_OK

@@ -199,21 +199,6 @@ def build_vocab_from_file(path: str, min_count: int = 1) -> Vocab:
     return Vocab([blob[a:b].decode("utf-8") for a, b in zip(starts, ends)], counts[order])
 
 
-def discard_probability(word_freq: float, threshold: float) -> float:
-    """Probability of discarding one occurrence of a word with corpus fraction ``word_freq``.
-
-    The keep probability is ``min(1, sqrt(t/f) + t/f)``; words rarer than
-    roughly the threshold ``t`` are always kept.
-    """
-    if not 0.0 < word_freq <= 1.0:
-        raise ValueError(f"word frequency must be in (0, 1], got {word_freq}")
-    if not 0 < threshold < math.inf:
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    ratio = threshold / word_freq
-    keep = min(1.0, math.sqrt(ratio) + ratio)
-    return 1.0 - keep
-
-
 def negative_bounds(vocab: Vocab, table_size: int | None = None) -> np.ndarray:
     """The end slot of each word's run in the negative-sampling table (int64).
 

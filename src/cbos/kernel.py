@@ -13,15 +13,14 @@ sentences: subsampling, per-position window draws, the skip-gram phase, the
 bag rule of every schedule in :data:`cbos.trainer.SCHEDULES`, negative
 draws, the clamped-sigmoid loss and the SGD step of
 :func:`cbos.model.ns_update`, and the per-sentence linear learning rate.
-The Python :func:`cbos.trainer.encode_chunk` and
-:class:`cbos.trainer.Trainer` stay as their references.
+The Python :class:`cbos.trainer.Trainer` stays as its reference.
 
 A negative draw takes a uniform slot of the unigram^0.75 table of
 :func:`cbos.corpus.build_negative_table` and maps it to the word that owns
 it, through the run ends of :func:`cbos.corpus.negative_bounds` and a guide
-table of at most ~2V 8-byte entries (:func:`negative_guide`). The table
-itself (10M slots, 40 MB) is never built, and each draw gives the word it
-holds.
+table of at most ~2V 8-byte entries, which numpy fills
+(:func:`negative_guide`). The table itself (10M slots, 40 MB) is never
+built, and each draw gives the word it holds.
 
 The C source below is compiled on first use with the local C compiler into
 ``$XDG_CACHE_HOME/cbos`` (default ``~/.cache/cbos``; a directory in the temp
@@ -56,11 +55,7 @@ from typing import Iterable
 
 import numpy as np
 
-# RNG streams, one per kind of draw
-WINDOW, NEGATIVE, SUBSAMPLE, DROP = range(4)
-
-# Columns of the per-worker slot array the kernel adds to
-TOKENS, LOSS, SKIPGRAM_UPDATES, BAG_UPDATES = range(4)
+# Columns of the per-worker slot array the kernel adds to: tokens, loss, skip-gram and bag updates
 N_SLOTS = 4
 
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
@@ -96,7 +91,7 @@ typedef struct {
     const int64_t *row_off;    /* input rows of word w: rows[row_off[w] .. row_off[w + 1]) */
     const int32_t *rows;
     const int64_t *bounds;     /* negative sampling: word w owns slots [bounds[w - 1], bounds[w]) */
-    const Guide *guide;        /* bucket g holds slots g << guide_shift onwards (cbos_negative_guide) */
+    const Guide *guide;        /* bucket g holds slots g << guide_shift onwards (negative_guide) */
     const double *discard;     /* per-word subsampling discard probability */
     double *slots;             /* n_workers x N_SLOTS, this worker adds to its own row */
     int32_t *events;           /* trace records, grown here, freed by cbos_release */
@@ -687,24 +682,6 @@ void cbos_count_release(Counter *C)
     memset(C, 0, sizeof *C);
 }
 
-/* Fill the entries of the n_guide buckets of 2^shift slots (shift <= 15); the
-   last bucket must start below the slot count bounds[n_words - 1]. */
-void cbos_negative_guide(const int64_t *bounds, int64_t n_words, int64_t shift, Guide *guide, int64_t n_guide)
-{
-    const int64_t width = (int64_t)1 << shift;
-    int32_t w = 0;
-    for (int64_t g = 0; g < n_guide; g++) {
-        const int64_t start = g << shift;
-        while (bounds[w] <= start)
-            w++;
-        guide[g].word = w;
-        for (int i = 0; i < 2; i++) {
-            int64_t end = bounds[w + i < n_words ? w + i : w] - start;
-            guide[g].end[i] = (uint16_t)(end < width ? end : width);
-        }
-    }
-}
-
 /* The negative-sampling map from outside: the word training draws for each
    slot x[0..n) (for tests). */
 void cbos_negative_words(const int64_t *bounds, const Guide *guide, int64_t shift,
@@ -843,12 +820,16 @@ def negative_guide(bounds: np.ndarray) -> tuple[np.ndarray, int]:
     run and the next word's run end, relative to that slot and capped at the
     bucket width. A draw of slot ``x`` reads only its bucket's entry unless
     three or more runs meet in the bucket and ``x`` lies past the first two;
-    then the kernel steps through ``bounds``.
+    then the kernel steps through ``bounds``. Built in numpy: needs no
+    compiler.
     """
     size = int(bounds[-1])
     shift = min((size // bounds.size).bit_length() - 1, 15)
-    guide = np.empty(((size - 1) >> shift) + 1, dtype=GUIDE)
-    load().cbos_negative_guide(_pointer(bounds, np.int64), bounds.size, shift, guide.ctypes.data, guide.size)
+    starts = np.arange(((size - 1) >> shift) + 1, dtype=np.int64) << shift
+    guide = np.empty(starts.size, dtype=GUIDE)
+    guide["word"] = word = np.searchsorted(bounds, starts, side="right")
+    for i in range(2):  # the run ends of word and word + 1 (the last word has no next one)
+        guide["end"][:, i] = np.minimum(bounds[np.minimum(word + i, bounds.size - 1)] - starts, 1 << shift)
     return guide, shift
 
 
@@ -936,7 +917,7 @@ class VocabIndex:
     def encode(self, block: bytes) -> tuple[np.ndarray, np.ndarray]:
         """Token ids (-1 out of vocabulary) and sentence offsets of one block of text.
 
-        The same arrays as :func:`cbos.trainer.encode_chunk`: lines split on
+        Sentence ``s`` is ``ids[offsets[s]:offsets[s + 1]]``: lines split on
         ``\\n``, tokens as ``str.split()`` splits them, and blank lines make
         no sentence. The block is not checked for valid UTF-8; on any bytes
         the split is that of ``block.decode("utf-8", "surrogateescape")``.
@@ -1082,10 +1063,6 @@ def load() -> ctypes.CDLL:
     lib.cbos_count_block.restype = ctypes.c_int64
     lib.cbos_count_release.argtypes = [ctypes.POINTER(Counter)]
     lib.cbos_count_release.restype = None
-    lib.cbos_negative_guide.argtypes = [
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64
-    ]
-    lib.cbos_negative_guide.restype = None
     lib.cbos_negative_words.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p
     ]

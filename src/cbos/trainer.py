@@ -19,12 +19,12 @@ blocks of about ``CHUNK_BYTES``, and the kernel turns each raw block into
 vocabulary ids (through a :class:`cbos.kernel.VocabIndex` built once before
 the workers start) and trains on it; Python only reads the blocks.
 :class:`Trainer` (``step``, ``prepare_sentence``, ``train_sentence``,
-``draw_negatives``) and :func:`encode_chunk` are the Python references the
-tests compare the kernel against; ``train`` never calls them. The reference
-reads the sentences of :func:`encode_chunk`, the same ids the kernel reads.
-Both draw from :class:`cbos.kernel.CounterRng` streams, one each for
-windows, negatives, subsampling and bag-rule choices, so at ``workers=1``
-they make the same predictions in the same order.
+``draw_negatives``) is the Python reference the tests compare the kernel
+against; ``train`` never calls it. The reference reads the encoder's
+sentences, the same ids the kernel reads. Both draw from
+:class:`cbos.kernel.CounterRng` streams, one each for windows, negatives,
+subsampling and bag-rule choices, so at ``workers=1`` they make the same
+predictions in the same order.
 
 Multi-worker training is asynchronous (hogwild style): worker 0 runs in the
 calling thread and the others in threads of their own, all updating the one
@@ -295,7 +295,6 @@ class Trainer:
         self._discard = vocab.discard_probs(config.t)
         self._subsample_active = bool((self._discard > 0).any())
         self._bounds = negative_bounds(vocab)
-        self.loss_sum = 0.0
         self.n_updates = 0
         self.tokens_seen = 0
         self._skipgram, self._bag_rule = SCHEDULES[config.variant or config.model_kind]
@@ -336,7 +335,6 @@ class Trainer:
         hidden = compute_hidden(input_ids, self.model)
         negatives = self.draw_negatives(target)
         loss = ns_update(hidden, target, negatives, lr, self.model)
-        self.loss_sum += loss
         self.n_updates += 1
         if self.trace is not None:
             self.trace(
@@ -400,7 +398,7 @@ class Trainer:
         """Drop out-of-vocabulary ids (-1) of one encoded sentence and subsample the rest.
 
         Returns (kept ids, in-vocabulary count). ``ids`` is one sentence of
-        :func:`encode_chunk`, as the kernel reads it.
+        :meth:`cbos.kernel.VocabIndex.encode`, as the kernel reads it.
         """
         ids = np.asarray(ids, dtype=np.int64)
         ids = ids[ids >= 0]
@@ -419,7 +417,7 @@ class Trainer:
             self.step(sentence, pos, bs[pos], lr)
 
 
-# -- corpus slicing and encoding ------------------------------------------
+# -- corpus slicing --------------------------------------------------------
 
 
 def iter_slice_chunks(path: str, worker_id: int, n_workers: int) -> Iterator[bytes]:
@@ -439,22 +437,6 @@ def iter_slice_chunks(path: str, worker_id: int, n_workers: int) -> Iterator[byt
             handle.readline()
         for _offset, block in iter_line_blocks(handle, end, CHUNK_BYTES):
             yield block
-
-
-def encode_chunk(block: bytes, word2id: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Token ids (-1 out of vocabulary) and sentence offsets of one block, in Python.
-
-    Sentence ``s`` is ``ids[offsets[s]:offsets[s + 1]]``; blank lines make
-    no sentence. The reference for the kernel's :meth:`cbos.kernel.VocabIndex.encode`.
-    """
-    get = word2id.get
-    ids: list[int] = []
-    offsets = [0]
-    for line in block.decode("utf-8").split("\n"):
-        ids += [get(token, -1) for token in line.split()]
-        if len(ids) > offsets[-1]:
-            offsets.append(len(ids))
-    return np.array(ids, dtype=np.int32), np.array(offsets, dtype=np.int64)
 
 
 # -- worker loop -----------------------------------------------------------

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import cbos.corpus as corpus_module
+import cbos.model as model_module
 import cbos.trainer as trainer_module
 from cbos.analogy import evaluate, load_analogy_file
 from cbos.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
 from cbos.corpus import build_vocab, build_vocab_from_file, normalize_text
 from cbos.model import EmbeddingModel, init_model
-from cbos.persist import load_bin, save_bin
+from cbos.persist import load_bin, save_bin, save_vec
+from cbos.subword import build_subword_cache
 from cbos.trainer import TrainConfig
 
 
@@ -136,6 +138,28 @@ def test_train_with_subwords(tmp_path):
     assert run(args) == EXIT_OK
     model, vocab, _ = load_bin(prefix + ".cbos")
     assert model.input_matrix.shape[0] == len(vocab) + 100
+
+
+def test_train_composes_the_word_matrix_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_subword_cache(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "build_subword_cache", counted)
+    prefix = str(tmp_path / "sub")
+    args = train_args(write_corpus(tmp_path), prefix, "-seed", "1")
+    args[args.index("-minn") + 1] = "3"
+    args[args.index("-maxn") + 1] = "6"
+    args[args.index("-bucket") + 1] = "2000"
+    assert run(args) == EXIT_OK
+    assert len(calls) == 1  # save_bin composes the word block; the .vec reads it back
+    # the .vec holds the vectors that composing the trained rows gives
+    model, vocab, _ = load_bin(prefix + ".cbos")
+    rows = EmbeddingModel(model.input_matrix, model.output_matrix, model.dim, model.bucket, model.minn, model.maxn)
+    save_vec(rows, vocab, str(tmp_path / "composed.vec"))
+    assert (tmp_path / "composed.vec").read_bytes() == (tmp_path / "sub.vec").read_bytes()
 
 
 def test_train_variant_needs_cbos_model(tmp_path, capsys):

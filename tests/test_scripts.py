@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import sys
+import tempfile
 import weakref
 
 import pytest
@@ -45,16 +46,32 @@ def test_compare_variants_frees_each_model_before_the_next(tmp_path, monkeypatch
     assert len(capsys.readouterr().out.splitlines()) == 1 + len(trained)
 
 
-def test_reproduce_full_scale_frees_each_model_before_the_next(tmp_path, monkeypatch):
+def run_reproduce_full_scale(tmp_path, monkeypatch, corpus, *extra):
+    """Run the script with ``train`` replaced by :func:`one_model_at_a_time`; return the script module."""
     script = load_script("reproduce_full_scale", monkeypatch)
     trained = []
     monkeypatch.setattr(script, "train", one_model_at_a_time(trained))
     questions = tmp_path / "questions.txt"
     questions.write_text(": trees\nash oak elm fir\noak ash fir elm\n")
-    argv = ["-corpus", str(tmp_path / "unread.txt"), "-questions", str(questions), "-output-dir", str(tmp_path)]
+    argv = ["-corpus", corpus, "-questions", str(questions), "-output-dir", str(tmp_path), *extra]
     monkeypatch.setattr(sys, "argv", ["reproduce_full_scale.py", *argv, "-thread", "1"])
     script.main()
     assert len(trained) == len(script.SCHEDULES)
+    return script
+
+
+def test_reproduce_full_scale_frees_each_model_before_the_next(tmp_path, monkeypatch):
+    script = run_reproduce_full_scale(tmp_path, monkeypatch, str(tmp_path / "unread.txt"))
     assert sorted(os.listdir(tmp_path)) == sorted(
         ["questions.txt"] + [f"{kind}.{ext}" for kind in script.SCHEDULES for ext in ("cbos", "vec")]
     )
+
+
+def test_reproduce_full_scale_removes_its_prepared_corpus(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("ash oak elm\nfir ash oak\n")
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    run_reproduce_full_scale(tmp_path, monkeypatch, str(corpus), "-max-bytes", "12")
+    assert os.listdir(temp) == []  # the prepared corpus went with its cbos-full-* directory

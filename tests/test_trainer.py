@@ -33,12 +33,13 @@ from cbos.trainer import (
     TraceEvent,
     TrainConfig,
     Trainer,
-    encode_chunk,
     iter_slice_chunks,
     lr_schedule,
     sample_window,
     train,
 )
+
+from reference import encode_chunk
 
 
 def distinct_vocab(n=12):
@@ -743,7 +744,7 @@ def test_train_never_runs_the_python_reference(tmp_path, monkeypatch, workers):
     def reference(*args, **kwargs):
         raise AssertionError("train() ran the Python reference")
 
-    for name in ("Trainer", "ns_update", "compute_hidden", "encode_chunk"):
+    for name in ("Trainer", "ns_update", "compute_hidden"):
         monkeypatch.setattr(trainer_module, name, reference)  # worker threads read the same module
     monkeypatch.setattr(corpus_module, "build_vocab", reference)  # the vocabulary is counted in the kernel
     path = small_corpus(tmp_path)
