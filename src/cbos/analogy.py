@@ -14,13 +14,20 @@ only the words that reach the k-th best score, which gives the same list,
 ties to the lower id, as sorting the whole vocabulary.
 
 :func:`evaluate` scores its questions in blocks
-(:meth:`VectorSpace.predict_ids`): one float64 matrix product per block
-into a single score buffer of at most ``SCORE_BLOCK_BYTES``, so memory
-stays bounded at any vocabulary size. A matrix product may round a score
-differently from the per-question product (by ~1e-15), so a question
-whose best candidate has a rival within ``NEAR_TIE`` is answered by
-:meth:`VectorSpace.predict_id` instead, which settles exact ties to the
-lower id. Every prediction is therefore the one ``predict_id`` gives.
+(:meth:`VectorSpace.predict_ids`): one float32 matrix product per block
+(the float64 queries and unit rows, each cast to float32) into a single
+score buffer of at most ``SCORE_BLOCK_BYTES``, so memory stays bounded at
+any vocabulary size. For unit rows and a query of norm at most 3, a
+float32 score lies within :func:`float32_score_bound` of the float64 one:
+δ(n) = 3·[(2u + u²) + γ·(1 + u)²] + 3n·2⁻¹⁴⁹, with u = 2⁻²⁴,
+γ = n·u / (1 − n·u) and n the dimension (2δ ≈ 3.7e-5 at n = 100). So a
+question is answered from its block only when its runner-up scores below
+``top - 2δ - NEAR_TIE`` (compared in float64); ``NEAR_TIE`` covers how
+float64 products round (~1e-15). Every other question (a near-tie, no
+candidate left, a NaN score or a degenerate query word) is answered by
+:meth:`VectorSpace.predict_id`, which scores in float64 and settles exact
+ties to the lower id. Every prediction is therefore the one
+``predict_id`` gives.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ logger = logging.getLogger(__name__)
 
 NORM_EPSILON = 1e-12
 SCORE_BLOCK_BYTES = 4 << 20  # size of the score buffer of one predict_ids call
-NEAR_TIE = 1e-10  # rivals this close to the best blocked score are re-scored one by one
+NEAR_TIE = 1e-10  # rivals within 2δ + NEAR_TIE of a block's best score are re-scored one by one
 _NO_CANDIDATE = "no candidate with a usable vector"
 SYNTACTIC_PREFIX = "gram"
 SPLITS = ("semantic", "syntactic")
@@ -163,15 +170,37 @@ def category_split(category: str, split_map: Mapping[str, str] | None = None) ->
 def word_vector(model: EmbeddingModel, vocab: Vocab, word: str) -> np.ndarray:
     """Compose a word's vector: mean of its word row (if any) and n-gram rows.
 
+    A vocabulary word of a loaded n-gram model reads its stored row of
+    ``word_matrix`` (the same bits as the mean) and gathers nothing.
     Out-of-vocabulary words are composed from n-gram rows alone, which is
     what makes subword models useful on unseen words. Raises
     :class:`UnresolvableWordError` when no rows exist at all (OOV with
     n-grams disabled, or a word too short to yield a single n-gram).
     """
+    own_id = vocab.id_of(word)
+    if own_id is not None and model.word_matrix is not None:
+        return model.word_matrix[own_id].copy()
     ids = subword_ids(word, vocab, model_subword_config(model))
     if ids.size == 0:
         raise UnresolvableWordError(word)
     return model.input_matrix[ids].mean(axis=0)
+
+
+def float32_score_bound(dim: int) -> float:
+    """δ: how far a float32 score of :meth:`VectorSpace.predict_ids` can be from the exact one.
+
+    The row (norm 1) and the query (norm at most 3) are float64, cast to
+    float32 with a relative error of at most u = 2⁻²⁴ per component, so each
+    product moves by at most (2u + u²) of its size. Multiplying and summing
+    the ``dim`` = n products in float32, in any order, adds at most
+    γ = n·u / (1 − n·u) of the sum of their sizes, which is at most
+    (1 + u)²·|row|·|query| ≤ 3·(1 + u)² (Cauchy-Schwarz). A component that
+    becomes a float32 subnormal is off by an absolute 2⁻¹⁵⁰ instead, which
+    ``3·n·2⁻¹⁴⁹`` covers.
+    """
+    u = 2.0**-24
+    gamma = dim * u / (1 - dim * u)
+    return 3 * ((2 * u + u * u) + gamma * (1 + u) ** 2) + 3 * dim * 2.0**-149
 
 
 class VectorSpace:
@@ -179,12 +208,16 @@ class VectorSpace:
 
     ``degenerate`` flags rows whose norm is below ``NORM_EPSILON``; those
     can neither form queries nor win an argmax. Scoring happens in float64
-    so ranking does not depend on float32 summation order.
+    so ranking does not depend on float32 summation order; the float32
+    screen of :meth:`predict_ids` only answers where that cannot matter.
     """
 
     def __init__(self, model: EmbeddingModel, vocab: Vocab):
         self.vocab = vocab
-        matrix = composed_word_matrix(model, vocab).astype(np.float64)
+        rows = model.word_matrix
+        if rows is None or rows.shape[0] != len(vocab):
+            rows = composed_word_matrix(model, vocab)  # raises for a vocab of the wrong size
+        matrix = rows.astype(np.float64)
         norms = np.linalg.norm(matrix, axis=1)
         self.degenerate = norms < NORM_EPSILON
         norms[self.degenerate] = 1.0
@@ -208,31 +241,35 @@ class VectorSpace:
     def predict_ids(self, ia: np.ndarray, ib: np.ndarray, ic: np.ndarray) -> np.ndarray:
         """:meth:`predict_id` of every question ``(ia[i], ib[i], ic[i])``, or -1 where it raises.
 
-        Questions are scored in blocks of rows of one reused float64 buffer
-        of at most ``SCORE_BLOCK_BYTES`` (at least one row). A question
-        whose best blocked score has a rival within ``NEAR_TIE`` (or is
-        -inf or NaN), or that has a degenerate query word, is answered by
+        Questions are scored in float32, in blocks of rows of one reused
+        buffer of at most ``SCORE_BLOCK_BYTES`` (at least one row). A
+        question whose runner-up scores within ``2δ + NEAR_TIE`` of its best
+        blocked score (δ = :func:`float32_score_bound`; also where the best
+        is -inf or NaN), or that has a degenerate query word, is answered by
         :meth:`predict_id` itself.
         """
         ia, ib, ic = (np.asarray(x, dtype=np.int64) for x in (ia, ib, ic))
-        vocab_size = self.unit.shape[0]
-        block = max(1, SCORE_BLOCK_BYTES // (8 * max(vocab_size, 1)))
-        buf = np.empty((block, vocab_size))
+        vocab_size, dim = self.unit.shape
+        unit32 = self.unit.astype(np.float32)
+        block = max(1, SCORE_BLOCK_BYTES // (unit32.itemsize * max(vocab_size, 1)))
+        buf = np.empty((block, vocab_size), np.float32)
+        margin = 2 * float32_score_bound(dim) + NEAR_TIE
         dead = np.flatnonzero(self.degenerate)
         predicted = np.empty(ia.size, dtype=np.int64)
         for start in range(0, ia.size, block):
             a, b, c = (x[start : start + block] for x in (ia, ib, ic))
             scores = buf[: a.size]
-            np.matmul(self.unit[b] - self.unit[a] + self.unit[c], self.unit.T, out=scores)
+            query = (self.unit[b] - self.unit[a] + self.unit[c]).astype(np.float32)
+            np.matmul(query, unit32.T, out=scores)
             rows = np.arange(a.size)
             for ids in (a, b, c):
                 scores[rows, ids] = -np.inf
             scores[:, dead] = -np.inf
             best = scores.argmax(axis=1)  # first maximum, so ties pick the lower id
-            top = scores[rows, best]
+            top = scores[rows, best].astype(np.float64)
             scores[rows, best] = -np.inf
             # false as well where top is -inf (no candidate left) or NaN
-            exact = (scores.max(axis=1) < top - NEAR_TIE) & ~(
+            exact = (scores.max(axis=1) < top - margin) & ~(
                 self.degenerate[a] | self.degenerate[b] | self.degenerate[c]
             )
             for r in np.flatnonzero(~exact):

@@ -20,6 +20,7 @@ from cbos.analogy import (
     VectorSpace,
     category_split,
     evaluate,
+    float32_score_bound,
     load_analogy_file,
     load_split_file,
     nearest_neighbors,
@@ -436,7 +437,8 @@ def block_rows(monkeypatch):
     """Make predict_ids score ``rows`` questions per block over ``vocab_size`` words."""
 
     def set_rows(rows, vocab_size):
-        monkeypatch.setattr(analogy_module, "SCORE_BLOCK_BYTES", rows * 8 * vocab_size + 7)
+        itemsize = np.dtype(np.float32).itemsize  # predict_ids scores in float32
+        monkeypatch.setattr(analogy_module, "SCORE_BLOCK_BYTES", rows * itemsize * vocab_size + 7)
 
     return set_rows
 
@@ -536,6 +538,75 @@ def test_near_tie_is_settled_by_predict_id(fallbacks):
     assert space.predict_ids(np.array([0]), np.array([1]), np.array([2])).tolist() == [expected]
     assert expected == 4
     assert fallbacks == [(0, 1, 2)]
+
+
+def test_float32_near_tie_is_settled_by_predict_id(fallbacks):
+    # w4 scores 1.3e-8 above w3 in float64, beyond NEAR_TIE but within 2δ; rounded to
+    # float32 the two rank the other way round, so a margin of NEAR_TIE alone would answer w3
+    vocab = vocab_of(["a", "b", "c", "w3", "w4"])
+    rows = [
+        [0, 1],
+        [-0.7960867881774902, -0.48721814155578613],
+        [0, 1],
+        [-0.9750001430511475, -0.6204291582107544],
+        [-0.9750011563301086, -0.6204288005828857],
+    ]
+    space = VectorSpace(model_from_rows(rows), vocab)
+    unit = space.unit
+    query = unit[1] - unit[0] + unit[2]
+    assert NEAR_TIE < unit[4] @ query - unit[3] @ query < 2 * float32_score_bound(2)
+    expected = space.predict_id(0, 1, 2)
+    fallbacks.clear()
+    assert space.predict_ids(np.array([0]), np.array([1]), np.array([2])).tolist() == [expected]
+    assert expected == 4
+    assert fallbacks == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize("dim", [1, 100, 300])
+@pytest.mark.parametrize("seed", range(3))
+def test_predict_ids_equals_predict_id_with_planted_rivals(seed, dim, block_rows, fallbacks):
+    # each question gets a winner row along its query and a rival 1e-7 to 1e-3 below it
+    # (in random id order), so gaps fall on either side of 2δ (3.7e-5 at dim 100, 1.1e-4 at 300)
+    rng = np.random.default_rng([seed, dim])
+    base, count = 40, 60
+    rows = rng.standard_normal((base + 2 * count, dim)).astype(np.float32)
+    unit = rows[:base] / np.linalg.norm(rows[:base].astype(np.float64), axis=1, keepdims=True)
+    ia, ib, ic = (rng.integers(0, base, size=count) for _ in range(3))
+    for q, (a, b, c) in enumerate(zip(ia, ib, ic)):
+        query = unit[b] - unit[a] + unit[c]
+        norm = np.linalg.norm(query)
+        if norm < 0.1:  # too short a query to plant a rival 1e-3 below it
+            continue
+        along = query / norm
+        across = rng.standard_normal(dim)
+        across -= (across @ along) * along
+        across /= max(np.linalg.norm(across), 1e-300)
+        cos = 1 - 10 ** rng.uniform(-7, -3) / norm
+        rival = cos * along + math.sqrt(1 - cos * cos) * across
+        pair = [along, rival] if rng.random() < 0.5 else [rival, along]
+        rows[base + 2 * q : base + 2 * q + 2] = np.array(pair, dtype=np.float32)
+    space = VectorSpace(model_from_rows(rows), vocab_of([f"w{i}" for i in range(len(rows))]))
+    expected = predict_each(space, ia, ib, ic)
+    fallbacks.clear()
+    block_rows(7, len(rows))
+    assert space.predict_ids(ia, ib, ic).tolist() == expected
+    if dim > 1:  # at dim 1 every unit row is +-1, so nearly every question ties
+        assert 0 < len(fallbacks) < count
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 100, 300, 1000])
+def test_float32_score_bound_covers_the_float32_scores(dim):
+    rng = np.random.default_rng(dim)
+    rows = rng.standard_normal((500, dim))
+    rows[::3, : dim // 2] *= 1e-40  # components that become float32 subnormals
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    ia, ib, ic = rng.integers(0, len(unit), size=(3, 200))
+    queries = np.vstack([unit[ib] - unit[ia] + unit[ic], 3 * unit[:100]])  # norm at most 3
+    exact = queries @ unit.T
+    rounded = queries.astype(np.float32) @ unit.astype(np.float32).T
+    worst = float(np.abs(rounded - exact).max())
+    assert worst <= float32_score_bound(dim)
+    assert worst > 0 or dim == 1  # at dim 1 every unit row and query is exact in float32
 
 
 # -- report formatting -----------------------------------------------------

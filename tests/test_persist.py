@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cbos.analogy
 import cbos.model
-from cbos.analogy import AnalogyQuestion, VectorSpace, evaluate
+from cbos.analogy import AnalogyQuestion, VectorSpace, evaluate, word_vector
 from cbos.corpus import EmptyVocabError, Vocab, build_vocab
 from cbos.model import EmbeddingModel, composed_word_matrix, init_model
 from cbos.persist import (
@@ -300,6 +301,20 @@ def test_loaded_word_matrix_is_the_composition_of_the_loaded_rows(tmp_path):
     assert loaded.word_matrix.tobytes() == composed_word_matrix(rebuilt, vocab).tobytes()
     copied = composed_word_matrix(loaded, vocab)
     assert copied.flags.writeable and copied.tobytes() == loaded.word_matrix.tobytes()
+
+
+def test_word_vector_of_a_loaded_model_reads_its_stored_row(tmp_path, monkeypatch):
+    model, vocab, _, path = saved_bytes(tmp_path, minn=2, maxn=4, bucket=64, dim=7, seed=11)
+    loaded, loaded_vocab, _ = load_bin(str(path))
+    gathered = {w: word_vector(model, vocab, w).tobytes() for w in vocab.words + ["unseen"]}
+    calls = []
+    real = cbos.analogy.subword_ids
+    monkeypatch.setattr(cbos.analogy, "subword_ids", lambda *args: calls.append(args[0]) or real(*args))
+    for w in vocab.words:
+        assert word_vector(loaded, loaded_vocab, w).tobytes() == gathered[w]
+    assert calls == []  # vocabulary words gather no rows
+    assert word_vector(loaded, loaded_vocab, "unseen").tobytes() == gathered["unseen"]
+    assert calls == ["unseen"]  # an unseen word still composes from its n-gram rows
 
 
 def test_version_1_file_without_word_block_loads(tmp_path):

@@ -21,13 +21,17 @@ def load_script(name, monkeypatch):
     return module
 
 
+def tree_vocab():
+    return build_vocab(["ash"] * 3 + ["oak"] * 2 + ["elm", "fir"])
+
+
 def one_model_at_a_time(trained):
     """A stand-in for ``train`` that fails when a model it returned earlier is still alive."""
 
-    def train(config, corpus_path, **kwargs):
+    def train(config, corpus_path, vocab=None, **kwargs):
         alive = [ref for ref in trained if ref() is not None]
         assert not alive, f"model {len(trained)} trains while an earlier one is alive"
-        vocab = build_vocab(["ash"] * 3 + ["oak"] * 2 + ["elm", "fir"])
+        vocab = tree_vocab() if vocab is None else vocab
         model = init_model(len(vocab), 0, 4, seed=len(trained))
         trained.append(weakref.ref(model))
         stats = TrainStats(1.0, 7, 7.0, 10, 0.5, 5, 5)
@@ -47,16 +51,31 @@ def test_compare_variants_frees_each_model_before_the_next(tmp_path, monkeypatch
 
 
 def run_reproduce_full_scale(tmp_path, monkeypatch, corpus, *extra):
-    """Run the script with ``train`` replaced by :func:`one_model_at_a_time`; return the script module."""
+    """Run the script with ``train`` replaced by :func:`one_model_at_a_time`; return the script module.
+
+    The vocabulary is counted once, and every schedule trains on that count.
+    """
     script = load_script("reproduce_full_scale", monkeypatch)
-    trained = []
-    monkeypatch.setattr(script, "train", one_model_at_a_time(trained))
+    trained, counted, given = [], [], []
+    stand_in = one_model_at_a_time(trained)
+
+    def count(path, min_count=1):
+        counted.append(tree_vocab())
+        return counted[-1]
+
+    def train(config, corpus_path, vocab=None, **kwargs):
+        given.append(vocab)
+        return stand_in(config, corpus_path, vocab=vocab, **kwargs)
+
+    monkeypatch.setattr(script, "build_vocab_from_file", count)
+    monkeypatch.setattr(script, "train", train)
     questions = tmp_path / "questions.txt"
     questions.write_text(": trees\nash oak elm fir\noak ash fir elm\n")
     argv = ["-corpus", corpus, "-questions", str(questions), "-output-dir", str(tmp_path), *extra]
     monkeypatch.setattr(sys, "argv", ["reproduce_full_scale.py", *argv, "-thread", "1"])
     script.main()
     assert len(trained) == len(script.SCHEDULES)
+    assert len(counted) == 1 and all(vocab is counted[0] for vocab in given)
     return script
 
 
