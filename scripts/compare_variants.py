@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cbos.analogy import evaluate, load_analogy_file
+from cbos.corpus import build_vocab_from_file
 from cbos.trainer import CBOS_VARIANTS, TrainConfig, train
 
 
@@ -43,6 +44,7 @@ def parse_args() -> argparse.Namespace:
 def main() -> int:
     args = parse_args()
     questions = load_analogy_file(args.questions) if args.questions else None
+    vocab = build_vocab_from_file(args.corpus, args.minCount)  # counted once: every run trains on it
     runs = [("cbow", None), ("skipgram", None)] + [
         ("cbos", variant) for variant in CBOS_VARIANTS
     ]
@@ -64,7 +66,7 @@ def main() -> int:
             workers=args.thread,
             seed=args.seed,
         )
-        result = train(config, args.corpus)
+        result = train(config, args.corpus, vocab=vocab)
         label = kind if variant in (None, "baseline") else f"{kind}/{variant}"
         if questions is not None:
             report = evaluate(result.model, result.vocab, questions)

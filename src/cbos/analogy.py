@@ -9,9 +9,11 @@ syntactic, and total accuracy.
 
 Everything here is numpy only (no compiled kernel). :class:`VectorSpace`
 builds the unit vectors of the whole vocabulary once from
-:func:`cbos.model.composed_word_matrix`; :func:`nearest_neighbors` sorts
-only the words that reach the k-th best score, which gives the same list,
-ties to the lower id, as sorting the whole vocabulary.
+:func:`cbos.model.composed_word_matrix`, in one float64 copy of the rows a
+model holds (a loaded model's stored block, or the word rows of a model
+without n-grams); :func:`nearest_neighbors` sorts only the words that
+reach the k-th best score, which gives the same list, ties to the lower
+id, as sorting the whole vocabulary.
 
 :func:`evaluate` scores its questions in blocks
 (:meth:`VectorSpace.predict_ids`): one float32 matrix product per block
@@ -214,10 +216,7 @@ class VectorSpace:
 
     def __init__(self, model: EmbeddingModel, vocab: Vocab):
         self.vocab = vocab
-        rows = model.word_matrix
-        if rows is None or rows.shape[0] != len(vocab):
-            rows = composed_word_matrix(model, vocab)  # raises for a vocab of the wrong size
-        matrix = rows.astype(np.float64)
+        matrix = composed_word_matrix(model, vocab).astype(np.float64)
         norms = np.linalg.norm(matrix, axis=1)
         self.degenerate = norms < NORM_EPSILON
         norms[self.degenerate] = 1.0

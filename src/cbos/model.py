@@ -19,7 +19,9 @@ At query time :func:`composed_word_matrix` averages every word's rows in
 numpy, one row per word per step, so each vector is bit-identical to the
 ``mean`` of that word's rows alone. A model read by
 :func:`cbos.persist.load_bin` carries those vectors from its file
-(``word_matrix``), so queries on it never compose them again.
+(``word_matrix``), and a model without n-grams holds them as its first
+``V`` input rows: :func:`composed_word_matrix` returns those rows as they
+lie, uncopied.
 """
 
 from __future__ import annotations
@@ -142,9 +144,10 @@ def model_subword_config(model: EmbeddingModel) -> SubwordConfig:
 def composed_word_matrix(model: EmbeddingModel, vocab: Vocab) -> np.ndarray:
     """Per-word vectors as used downstream: mean of word row and n-gram rows.
 
-    With n-grams disabled this is just the first ``V`` input rows, and a
-    loaded model's ``word_matrix`` is copied as it is. The result is always
-    a fresh array, safe to normalize or mutate.
+    A loaded model's ``word_matrix``, or with n-grams disabled the first
+    ``V`` input rows, are the model's own rows: they are returned as a
+    read-only view, not copied. Only an n-gram model without a stored block
+    composes a new array. Copy the result to change it.
 
     Row ``w`` equals ``input_matrix[cache[w]].mean(axis=0)`` bit for bit: the
     sum starts from every word's first row and adds its ``j``-th row at step
@@ -155,11 +158,11 @@ def composed_word_matrix(model: EmbeddingModel, vocab: Vocab) -> np.ndarray:
         raise ValueError(
             f"vocab size {len(vocab)} does not match model vocab {model.vocab_size}"
         )
-    if model.word_matrix is not None:
-        return model.word_matrix.copy()
     config = model_subword_config(model)
-    if not config.enabled:
-        return model.input_matrix[: len(vocab)].copy()
+    if model.word_matrix is not None or not config.enabled:
+        rows = model.input_matrix[: len(vocab)] if model.word_matrix is None else model.word_matrix.view()
+        rows.flags.writeable = False
+        return rows
     cache = build_subword_cache(vocab, config)
     counts = np.diff(cache.offsets)
     order = np.argsort(-counts, kind="stable")  # most rows first: the words still adding are a prefix

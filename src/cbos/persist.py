@@ -10,14 +10,15 @@ composed vector (:func:`cbos.model.composed_word_matrix` at save time), so
 queries on the loaded model never gather n-gram rows; version 1 files,
 which lack that block, still load.
 
-Loading a `.cbos` file parses and checks its header and metadata, then maps
-the file read-only: the matrices are views into that mapping, not copies.
-Their pages are read when first touched (from disk, on a cold page cache),
-writing into them raises ``ValueError``, and the loaded model holds one
-file descriptor until its matrices are dropped. So the file must not be
-truncated or rewritten in place while a loaded model is alive;
-:func:`save_bin` replaces it atomically, which is safe. To change a loaded
-model, copy its matrices into a new :class:`cbos.model.EmbeddingModel`.
+Loading a `.cbos` file maps it read-only, then checks it in one walk from
+byte 0, so every error names the byte offset where the file went wrong.
+The matrices are views into that mapping, not copies. Their pages are read
+when first touched (from disk, on a cold page cache), writing into them
+raises ``ValueError``, and the loaded model holds one file descriptor
+until its matrices are dropped. So the file must not be truncated or
+rewritten in place while a loaded model is alive; :func:`save_bin`
+replaces it atomically, which is safe. To change a loaded model, copy its
+matrices into a new :class:`cbos.model.EmbeddingModel`.
 """
 
 from __future__ import annotations
@@ -127,22 +128,6 @@ def _write_block(out: BinaryIO, payload: bytes) -> None:
     out.write(payload)
 
 
-def _read_exact(handle: BinaryIO, n: int, what: str) -> bytes:
-    data = handle.read(n)
-    if len(data) != n:
-        offset = handle.tell() - len(data)
-        raise TruncatedFileError(
-            f"truncated at byte {offset}: needed {n} more bytes for {what}, "
-            f"got {len(data)}"
-        )
-    return data
-
-
-def _read_block(handle: BinaryIO, what: str) -> bytes:
-    (length,) = struct.unpack("<Q", _read_exact(handle, 8, f"{what} length"))
-    return _read_exact(handle, length, what)
-
-
 def _matrix_bytes(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(matrix, dtype="<f4")
 
@@ -155,7 +140,7 @@ def save_bin(model: EmbeddingModel, vocab: Vocab, config: TrainConfig, path: str
     order), then the input and output matrices as row-major little-endian
     float32. For an n-gram model (``minn > 0``) a ``V x dim`` word block of
     the same type follows: :func:`cbos.model.composed_word_matrix`, which
-    a loaded model copies from its own block instead of composing. Only
+    for a loaded model is its own block, written without a copy. Only
     float32 models are serialized; the format has no wider payload type.
     The file appears whole or not at all (see :func:`_atomic_write`).
     """
@@ -184,52 +169,67 @@ def save_bin(model: EmbeddingModel, vocab: Vocab, config: TrainConfig, path: str
             _matrix_bytes(composed_word_matrix(model, vocab)).tofile(out)
 
 
-def _matrix_end(offset: int, size: int, rows: int, dim: int, what: str) -> int:
-    """End offset of a ``rows x dim`` float32 matrix at ``offset`` in ``size`` bytes."""
-    expected = rows * dim
-    got = min(expected, (size - offset) // 4)
-    if got != expected:
+def _extent(path: str, size: int, at: int, count: int, what: str, itemsize: int = 1) -> int:
+    """End of ``count`` items of ``itemsize`` bytes at ``at`` in a file of ``size`` bytes.
+
+    A file that ends first raises :class:`TruncatedFileError` at the byte
+    after the last whole item.
+    """
+    got = min(count, (size - at) // itemsize)
+    if got != count:
         raise TruncatedFileError(
-            f"truncated at byte {offset + got * 4}: {what} matrix needs "
-            f"{rows}x{dim} float32 values, got {got}"
+            f"{path}: truncated at byte {at + got * itemsize}: {what} needs "
+            f"{count * itemsize} bytes, got {size - at}"
         )
-    return offset + 4 * expected
+    return at + count * itemsize
 
 
 def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
     """Read a native binary model; exact inverse of :func:`save_bin`.
 
-    Reads format versions 1 and 2. Header and metadata are checked before
-    the file is mapped. The matrices, and a version 2 n-gram model's
+    Reads format versions 1 and 2. The mapped file is checked in one walk
+    from byte 0: header, config block, vocab block, each matrix, and no
+    trailing bytes; a :class:`FormatError` names the byte offset where the
+    file went wrong. The matrices, and a version 2 n-gram model's
     ``word_matrix``, are read-only views of the mapping, so the model holds
-    one file descriptor while it is alive, and the file must not be
-    truncated or rewritten in place meanwhile (see the module docstring).
+    one file descriptor while it is alive (see the module docstring).
     """
     with open(path, "rb") as handle:
-        raw = _read_exact(handle, _HEADER.size, "header")
-        magic, version, v, bucket, dim, minn, maxn = _HEADER.unpack(raw)
+        if os.fstat(handle.fileno()).st_size == 0:  # mmap refuses an empty file
+            _extent(path, 0, 0, _HEADER.size, "header")
+        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    size = len(mapping)
+    try:
+        config_at = _extent(path, size, 0, _HEADER.size, "header")
+        magic, version, v, bucket, dim, minn, maxn = _HEADER.unpack_from(mapping)
         if magic != MAGIC:
-            raise FormatError(f"{path}: not a model file (bad magic {magic!r})")
+            raise FormatError(f"{path}: not a model file at byte 0 (bad magic {magic!r})")
         if version not in (1, FORMAT_VERSION):
             raise FormatError(
-                f"{path}: unsupported format version {version} "
+                f"{path}: unsupported format at byte 4: version {version} "
                 f"(this build reads versions 1 and {FORMAT_VERSION})"
             )
+        if dim < 1:
+            raise FormatError(f"{path}: invalid header at byte 24: dim must be >= 1, got {dim}")
         try:
-            if dim < 1:
-                raise ValueError(f"dim must be >= 1, got {dim}")
             SubwordConfig(minn, maxn, bucket)
         except ValueError as exc:
-            raise FormatError(f"{path}: invalid header: {exc}") from None
+            at = 16 if 1 <= minn <= maxn else 28  # a valid minn..maxn leaves the bucket at fault
+            raise FormatError(f"{path}: invalid header at byte {at}: {exc}") from None
+        body = _extent(path, size, config_at, 8, "config block length")
+        vocab_at = _extent(path, size, body, int.from_bytes(mapping[config_at:body], "little"), "config block")
         try:
-            config = TrainConfig(**json.loads(_read_block(handle, "config")))
-            vocab_at = handle.tell()
-            vocab_block = json.loads(_read_block(handle, "vocab"))
-            words, counts = vocab_block["words"], vocab_block["counts"]
-        except TruncatedFileError:
-            raise
+            config = TrainConfig(**json.loads(mapping[body:vocab_at]))
         except (ValueError, KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: corrupt metadata block: {exc}") from exc
+            raise FormatError(f"{path}: corrupt metadata block at byte {config_at}: {exc}") from None
+        body = _extent(path, size, vocab_at, 8, "vocab block length")
+        start = _extent(path, size, body, int.from_bytes(mapping[vocab_at:body], "little"), "vocab block")
+        corrupt_vocab = f"{path}: corrupt vocab block at byte {vocab_at}:"
+        try:
+            vocab_block = json.loads(mapping[body:start])
+            words, counts = vocab_block["words"], vocab_block["counts"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{corrupt_vocab} {exc}") from None
         if not (
             isinstance(words, list)
             and isinstance(counts, list)
@@ -239,41 +239,35 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
             and sum(counts) < 2**63
         ):
             raise FormatError(
-                f"{path}: corrupt vocab block at byte {vocab_at}: needs a list of words (str) "
+                f"{corrupt_vocab} needs a list of words (str) "
                 "and a list of as many counts (int >= 0, summing below 2**63)"
             )
         if len(words) != v:
-            raise FormatError(
-                f"{path}: header claims {v} words, vocab block has {len(words)}"
-            )
+            raise FormatError(f"{path}: header claims {v} words at byte 8, vocab block has {len(words)}")
         vocab = Vocab(words, counts)
         if len(vocab.word2id) != v:  # a repeated word keeps its last id: no name reaches the earlier row
             repeated = next(word for i, word in enumerate(words) if vocab.word2id[word] != i)
-            raise FormatError(f"{path}: corrupt vocab block at byte {vocab_at}: repeated word {repeated!r}")
-        start = handle.tell()
-        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    has_words = version >= 2 and minn > 0
-    try:
-        middle = _matrix_end(start, len(mapping), v + bucket, dim, "input")
-        words_at = _matrix_end(middle, len(mapping), v, dim, "output")
-        end = _matrix_end(words_at, len(mapping), v, dim, "word") if has_words else words_at
-        if end != len(mapping):
-            raise FormatError(f"{path}: unexpected trailing bytes")
-    except FormatError:
+            raise FormatError(f"{corrupt_vocab} repeated word {repeated!r}")
+        output_at = _extent(path, size, start, (v + bucket) * dim, "input matrix", 4)
+        words_at = _extent(path, size, output_at, v * dim, "output matrix", 4)
+        has_words = version >= 2 and minn > 0
+        end = _extent(path, size, words_at, v * dim, "word matrix", 4) if has_words else words_at
+        if end != size:  # checked before any view exists: a live view makes close() raise
+            raise FormatError(f"{path}: unexpected trailing bytes at byte {end}")
+    except BaseException:
         mapping.close()
         raise
-    input_matrix = np.frombuffer(mapping, dtype="<f4", count=(v + bucket) * dim, offset=start)
-    output_matrix = np.frombuffer(mapping, dtype="<f4", count=v * dim, offset=middle)
-    word_matrix = None
-    if has_words:
-        word_matrix = np.frombuffer(mapping, dtype="<f4", count=v * dim, offset=words_at).reshape(v, dim)
+
+    def matrix(at: int, rows: int) -> np.ndarray:
+        return np.frombuffer(mapping, dtype="<f4", count=rows * dim, offset=at).reshape(rows, dim)
+
     model = EmbeddingModel(
-        input_matrix=input_matrix.reshape(v + bucket, dim),
-        output_matrix=output_matrix.reshape(v, dim),
+        input_matrix=matrix(start, v + bucket),
+        output_matrix=matrix(output_at, v),
         dim=dim,
         bucket=bucket,
         minn=minn,
         maxn=maxn,
-        word_matrix=word_matrix,
+        word_matrix=matrix(words_at, v) if has_words else None,
     )
     return model, vocab, config

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from cbos.corpus import build_vocab
+
+TESTS = Path(__file__).parent
 
 # Filled by the acceptance tests; echoed after the run so the per-criterion
 # verdict lines survive pytest's stdout capture.
@@ -12,6 +16,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance gate")
         for line in GATE_LINES:
             terminalreporter.write_line(line)
+
+
+def pytest_collection_modifyitems(items):
+    """A test that leaks an open file or socket fails.
+
+    Its ``ResourceWarning``, and the warning pytest raises for an exception
+    ignored while an object was dropped, become errors. The filters are set
+    here rather than in ``pyproject.toml`` so that they cover the tests of
+    this directory and leave the bench's own tests at pytest's defaults.
+    """
+    for item in items:
+        if item.path.is_relative_to(TESTS):
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
 
 
 @pytest.fixture

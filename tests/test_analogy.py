@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,6 +398,24 @@ def test_vector_space_units_are_the_rows_divided_by_their_norms():
     norms[norms < NORM_EPSILON] = 1.0
     space = VectorSpace(model, vocab)
     assert space.unit.tobytes() == (matrix / norms[:, np.newaxis]).tobytes()
+    np.testing.assert_array_equal(model.input_matrix, before)
+
+
+def test_vector_space_of_a_model_without_ngrams_copies_its_rows_once():
+    words, dim = 20_000, 64
+    vocab = Vocab([f"w{i}" for i in range(words)], [1] * words)
+    model = init_model(words, 0, dim, seed=1)
+    before = model.input_matrix.copy()
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        space = VectorSpace(model, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The float64 unit rows and np.linalg.norm's float64 squares take 16 bytes per value;
+    # a float32 copy of the rows on top would take 4 more.
+    assert peak < 18 * words * dim
+    assert space.unit.shape == (words, dim)
     np.testing.assert_array_equal(model.input_matrix, before)
 
 

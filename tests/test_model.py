@@ -257,8 +257,10 @@ def test_composed_word_matrix_plain_words():
     model = init_model(vocab_size=2, bucket=0, dim=4, seed=2)
     composed = composed_word_matrix(model, vocab)
     np.testing.assert_array_equal(composed, model.input_matrix[:2])
-    composed[0, 0] = 99.0  # fresh array, model untouched
-    assert model.input_matrix[0, 0] != 99.0
+    assert np.shares_memory(composed, model.input_matrix)  # the model's own rows, not a copy
+    with pytest.raises(ValueError, match="read-only"):
+        composed[0, 0] = 99.0
+    assert model.input_matrix.flags.writeable  # the model itself stays trainable
 
 
 def test_composed_word_matrix_subword_mean():

@@ -233,23 +233,28 @@ def test_bin_header_vocab_count_mismatch(tmp_path):
         load_bin(str(path))
 
 
-@pytest.mark.parametrize(
-    "fields",
-    [
-        {"minn": 5, "maxn": 2},
-        {"minn": 0, "maxn": 4},
-        {"minn": 4, "maxn": 0},
-        {"bucket": 0},
-        {"dim": 0},
-    ],
-)
+def with_header(data: bytes, **fields: int) -> bytes:
+    """The model file ``data`` with the named header fields set."""
+    layout = {"v": ("<Q", 8), "bucket": ("<Q", 16), "dim": ("<I", 24), "minn": ("<I", 28), "maxn": ("<I", 32)}
+    out = bytearray(data)
+    for name, value in fields.items():
+        struct.pack_into(layout[name][0], out, layout[name][1], value)
+    return bytes(out)
+
+
+BAD_HEADERS = [  # each with the byte its error names: the field at fault
+    ({"minn": 5, "maxn": 2}, 28),
+    ({"minn": 0, "maxn": 4}, 28),
+    ({"minn": 4, "maxn": 0}, 28),
+    ({"bucket": 0}, 16),
+    ({"dim": 0}, 24),
+]
+
+
+@pytest.mark.parametrize("fields", [fields for fields, _ in BAD_HEADERS])
 def test_bin_rejects_header_no_model_can_have(tmp_path, fields):
     _, _, _, path = saved_bytes(tmp_path, minn=3, maxn=6, bucket=64)
-    data = bytearray(path.read_bytes())
-    layout = {"bucket": ("<Q", 16), "dim": ("<I", 24), "minn": ("<I", 28), "maxn": ("<I", 32)}
-    for name, value in fields.items():
-        struct.pack_into(layout[name][0], data, layout[name][1], value)
-    path.write_bytes(bytes(data))
+    path.write_bytes(with_header(path.read_bytes(), **fields))
     with pytest.raises(FormatError, match="invalid header"):
         load_bin(str(path))
 
@@ -299,8 +304,9 @@ def test_loaded_word_matrix_is_the_composition_of_the_loaded_rows(tmp_path):
     assert rebuilt.word_matrix is None
     assert loaded.word_matrix.shape == (len(vocab), loaded.dim)
     assert loaded.word_matrix.tobytes() == composed_word_matrix(rebuilt, vocab).tobytes()
-    copied = composed_word_matrix(loaded, vocab)
-    assert copied.flags.writeable and copied.tobytes() == loaded.word_matrix.tobytes()
+    stored = composed_word_matrix(loaded, vocab)
+    assert stored.tobytes() == loaded.word_matrix.tobytes()
+    assert np.shares_memory(stored, loaded.word_matrix) and not stored.flags.writeable
 
 
 def test_word_vector_of_a_loaded_model_reads_its_stored_row(tmp_path, monkeypatch):
@@ -395,9 +401,7 @@ BAD_VOCAB_BLOCKS = {
 
 def with_vocab_block(data: bytes, block: dict) -> bytes:
     """The model file ``data`` with its vocab block replaced by the JSON of ``block``."""
-    at, length = vocab_block(data)
-    payload = json.dumps(block).encode()
-    return data[:at] + struct.pack("<Q", len(payload)) + payload + data[at + 8 + length :]
+    return with_vocab_payload(data, json.dumps(block).encode())
 
 
 @pytest.mark.parametrize("block", BAD_VOCAB_BLOCKS.values(), ids=BAD_VOCAB_BLOCKS.keys())
@@ -407,6 +411,64 @@ def test_bin_rejects_a_vocab_block_no_model_can_have(tmp_path, block):
     at, _ = vocab_block(data)
     path.write_bytes(with_vocab_block(data, block))
     with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: corrupt vocab block at byte {at}:"):
+        load_bin(str(path))
+
+
+def cut(data: bytes, keep: int) -> tuple[bytes, int]:
+    """The first ``keep`` bytes of ``data``, and the byte their error names: where the file ends."""
+    return data[:keep], keep
+
+
+def matrix_cut(data: bytes, at: int) -> tuple[bytes, int]:
+    """``data`` cut mid-float in row 1 of the matrix at ``at``: the error names the last whole float."""
+    return data[: at + 4 * DIM + 2], at + 4 * DIM
+
+
+def with_config_payload(data: bytes, payload: bytes) -> bytes:
+    """The model file ``data`` with its config block's payload replaced by ``payload``."""
+    at, _ = vocab_block(data)  # the config block ends where the vocab block starts
+    return data[:36] + struct.pack("<Q", len(payload)) + payload + data[at:]
+
+
+def with_vocab_payload(data: bytes, payload: bytes) -> bytes:
+    """The model file ``data`` with its vocab block's payload replaced by ``payload``."""
+    at, length = vocab_block(data)
+    return data[:at] + struct.pack("<Q", len(payload)) + payload + data[at + 8 + length :]
+
+
+DIM, WORDS = 5, 4  # the fixture model's
+REPEATED_WORD = BAD_VOCAB_BLOCKS["a repeated word"]
+CORRUPT_FILES = {  # name: (how its error begins, the file made from a good one and the byte the error names)
+    "bad magic": ("not a model file", lambda d: (b"NOPE" + d[4:], 0)),
+    "unsupported version": ("unsupported format", lambda d: (d[:4] + struct.pack("<I", 11) + d[8:], 4)),
+    **{
+        f"invalid header {fields}": ("invalid header", lambda d, fields=fields, at=at: (with_header(d, **fields), at))
+        for fields, at in BAD_HEADERS
+    },
+    "bad config JSON": ("corrupt metadata block", lambda d: (with_config_payload(d, b"{"), 36)),
+    "bad vocab JSON": ("corrupt vocab block", lambda d: (with_vocab_payload(d, b"{"), vocab_block(d)[0])),
+    "a word-count mismatch": (r"header claims \d+ words", lambda d: (with_header(d, v=WORDS + 1), 8)),
+    "a repeated word": ("corrupt vocab block", lambda d: (with_vocab_block(d, REPEATED_WORD), vocab_block(d)[0])),
+    "an empty file": ("truncated", lambda d: (b"", 0)),
+    "a cut inside the header": ("truncated", lambda d: cut(d, 20)),
+    "a cut inside the config length": ("truncated", lambda d: cut(d, 39)),
+    "a cut inside the config block": ("truncated", lambda d: cut(d, 49)),
+    "a cut inside the vocab length": ("truncated", lambda d: cut(d, vocab_block(d)[0] + 3)),
+    "a cut inside the vocab block": ("truncated", lambda d: cut(d, vocab_block(d)[0] + 13)),
+    "a cut inside the input matrix": ("truncated", lambda d: matrix_cut(d, matrices_at(d))),
+    "a cut inside the output matrix": ("truncated", lambda d: matrix_cut(d, len(d) - 8 * DIM * WORDS)),
+    "a cut inside the word matrix": ("truncated", lambda d: matrix_cut(d, len(d) - 4 * DIM * WORDS)),
+    "trailing bytes": ("unexpected trailing bytes", lambda d: (d + b"\x00", len(d))),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_FILES.values(), ids=CORRUPT_FILES.keys())
+def test_every_corrupt_file_error_names_its_byte_offset(tmp_path, case):
+    wording, corrupt = case
+    _, _, _, path = saved_bytes(tmp_path, minn=3, maxn=6, bucket=64)
+    data, offset = corrupt(path.read_bytes())
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: {wording} at byte {offset}\b"):
         load_bin(str(path))
 
 
@@ -460,14 +522,20 @@ def test_a_loaded_model_holds_one_descriptor_until_dropped(tmp_path):
 def test_load_and_drop_cycles_leak_no_descriptor(tmp_path):
     _, _, _, path = saved_bytes(tmp_path)
     truncated = tmp_path / "short.cbos"
-    truncated.write_bytes(path.read_bytes()[:-2])  # fails after the file is mapped
+    truncated.write_bytes(path.read_bytes()[:-2])
+    broken = [str(truncated)]
+    for name in ("bad magic", "bad config JSON", "a word-count mismatch", "trailing bytes"):
+        bad = tmp_path / f"{name}.cbos"
+        bad.write_bytes(CORRUPT_FILES[name][1](path.read_bytes())[0])
+        broken.append(str(bad))
     before = open_descriptors()
     failures = []  # a kept traceback keeps load_bin's frame, and its locals, alive
     for _ in range(50):
         load_bin(str(path))
-        with pytest.raises(TruncatedFileError) as info:
-            load_bin(str(truncated))
-        failures.append(info)
+        for bad in broken:  # each fails after the file is mapped
+            with pytest.raises(FormatError) as info:
+                load_bin(bad)
+            failures.append(info)
     assert open_descriptors() == before
 
 

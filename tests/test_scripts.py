@@ -40,22 +40,12 @@ def one_model_at_a_time(trained):
     return train
 
 
-def test_compare_variants_frees_each_model_before_the_next(tmp_path, monkeypatch, capsys):
-    script = load_script("compare_variants", monkeypatch)
-    trained = []
-    monkeypatch.setattr(script, "train", one_model_at_a_time(trained))
-    monkeypatch.setattr(sys, "argv", ["compare_variants.py", "-corpus", str(tmp_path / "unread.txt")])
-    assert script.main() == 0
-    assert len(trained) == 2 + len(script.CBOS_VARIANTS)
-    assert len(capsys.readouterr().out.splitlines()) == 1 + len(trained)
+def count_once(script, monkeypatch):
+    """Replace the script's vocabulary counter and ``train`` (:func:`one_model_at_a_time`).
 
-
-def run_reproduce_full_scale(tmp_path, monkeypatch, corpus, *extra):
-    """Run the script with ``train`` replaced by :func:`one_model_at_a_time`; return the script module.
-
-    The vocabulary is counted once, and every schedule trains on that count.
+    Returns the trained models' references, the counted vocabularies and the
+    vocabulary each run was given.
     """
-    script = load_script("reproduce_full_scale", monkeypatch)
     trained, counted, given = [], [], []
     stand_in = one_model_at_a_time(trained)
 
@@ -69,6 +59,26 @@ def run_reproduce_full_scale(tmp_path, monkeypatch, corpus, *extra):
 
     monkeypatch.setattr(script, "build_vocab_from_file", count)
     monkeypatch.setattr(script, "train", train)
+    return trained, counted, given
+
+
+def test_compare_variants_frees_each_model_before_the_next(tmp_path, monkeypatch, capsys):
+    script = load_script("compare_variants", monkeypatch)
+    trained, counted, given = count_once(script, monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["compare_variants.py", "-corpus", str(tmp_path / "unread.txt")])
+    assert script.main() == 0
+    assert len(trained) == 2 + len(script.CBOS_VARIANTS)
+    assert len(counted) == 1 and all(vocab is counted[0] for vocab in given)
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(trained)
+
+
+def run_reproduce_full_scale(tmp_path, monkeypatch, corpus, *extra):
+    """Run the script with :func:`count_once`'s stand-ins; return the script module.
+
+    The vocabulary is counted once, and every schedule trains on that count.
+    """
+    script = load_script("reproduce_full_scale", monkeypatch)
+    trained, counted, given = count_once(script, monkeypatch)
     questions = tmp_path / "questions.txt"
     questions.write_text(": trees\nash oak elm fir\noak ash fir elm\n")
     argv = ["-corpus", corpus, "-questions", str(questions), "-output-dir", str(tmp_path), *extra]
