@@ -90,7 +90,7 @@ def run_schedule(kind: str, args: argparse.Namespace, corpus: str, vocab, questi
     result = train(config, corpus, vocab=vocab, progress=sys.stderr)
     wall = time.monotonic() - t0
     prefix = out_dir / kind
-    save_bin(result.model, result.vocab, config, f"{prefix}.cbos")
+    save_bin(result.model, result.vocab, result.config, f"{prefix}.cbos")
     del result  # free the training copy (800 MB at the default bucket) before the queries
     # the saved file holds the composed word vectors, so neither query composes them again
     model, vocab, _config = load_bin(f"{prefix}.cbos")

@@ -7,11 +7,11 @@ similarity between candidate vectors and ``norm(b) - norm(a) + norm(c)``,
 never returning a, b, or c themselves. Categories aggregate into semantic,
 syntactic, and total accuracy.
 
-Everything here is numpy only (no compiled kernel). :class:`VectorSpace`
-builds the unit vectors of the whole vocabulary once from
-:func:`cbos.model.composed_word_matrix`, in one float64 copy of the rows a
-model holds (a loaded model's stored block, or the word rows of a model
-without n-grams); :func:`nearest_neighbors` sorts only the words that
+Everything here is numpy only (no compiled kernel on a model that holds its
+word vectors). :class:`VectorSpace` builds the unit vectors of the whole
+vocabulary once from :func:`cbos.model.composed_word_matrix`, in one float64
+copy of the rows a model holds (normed in row blocks of at most
+``SCORE_BLOCK_BYTES``); :func:`nearest_neighbors` sorts only the words that
 reach the k-th best score, which gives the same list, ties to the lower
 id, as sorting the whole vocabulary.
 
@@ -48,7 +48,7 @@ from .subword import subword_ids
 logger = logging.getLogger(__name__)
 
 NORM_EPSILON = 1e-12
-SCORE_BLOCK_BYTES = 4 << 20  # size of the score buffer of one predict_ids call
+SCORE_BLOCK_BYTES = 4 << 20  # size of the score buffer of one predict_ids call, and of a norm block
 NEAR_TIE = 1e-10  # rivals within 2δ + NEAR_TIE of a block's best score are re-scored one by one
 _NO_CANDIDATE = "no candidate with a usable vector"
 SYNTACTIC_PREFIX = "gram"
@@ -217,7 +217,9 @@ class VectorSpace:
     def __init__(self, model: EmbeddingModel, vocab: Vocab):
         self.vocab = vocab
         matrix = composed_word_matrix(model, vocab).astype(np.float64)
-        norms = np.linalg.norm(matrix, axis=1)
+        block = max(1, SCORE_BLOCK_BYTES // (matrix.itemsize * model.dim))  # rows squared at a time
+        starts = range(0, len(matrix) or 1, block)  # one block of an empty matrix too, for an empty result
+        norms = np.concatenate([np.linalg.norm(matrix[i : i + block], axis=1) for i in starts])
         self.degenerate = norms < NORM_EPSILON
         norms[self.degenerate] = 1.0
         matrix /= norms[:, np.newaxis]

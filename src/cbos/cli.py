@@ -8,6 +8,7 @@ codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -205,18 +206,11 @@ def cmd_nn(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    instream = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    outstream = (
-        open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    )
-    try:
+    with contextlib.ExitStack() as files:  # closes the input also when the output cannot be opened
+        instream = files.enter_context(open(args.input, encoding="utf-8")) if args.input else sys.stdin
+        outstream = files.enter_context(open(args.output, "w", encoding="utf-8")) if args.output else sys.stdout
         for line in instream:
             outstream.write(normalize_text(line))
-    finally:
-        if args.input:
-            instream.close()
-        if args.output:
-            outstream.close()
     return EXIT_OK
 
 

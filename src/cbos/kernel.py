@@ -13,7 +13,9 @@ sentences: subsampling, per-position window draws, the skip-gram phase, the
 bag rule of every schedule in :data:`cbos.trainer.SCHEDULES`, negative
 draws, the clamped-sigmoid loss and the SGD step of
 :func:`cbos.model.ns_update`, and the per-sentence linear learning rate.
-The Python :class:`cbos.trainer.Trainer` stays as its reference.
+The Python :class:`cbos.trainer.Trainer` stays as its reference. Before
+that, ``cbos_subword_rows`` hashes the n-grams of every vocabulary word
+(:func:`cbos.subword.build_subword_cache`).
 
 A negative draw takes a uniform slot of the unigram^0.75 table of
 :func:`cbos.corpus.build_negative_table` and maps it to the word that owns
@@ -27,8 +29,9 @@ The C source below is compiled on first use with the local C compiler into
 dir when that is not writable), under a name keyed by a hash of the source
 and the flags, and loaded through :mod:`ctypes`. Compiling a new build
 removes all but the ``KEPT_BUILDS`` newest builds from that directory.
-Importing this module compiles nothing, so the query side works without a
-compiler; training and counting a corpus's vocabulary need one.
+Importing this module compiles nothing, so queries on a saved model work
+without a compiler; training, counting a corpus's vocabulary and composing
+an n-gram model's word vectors (not stored in a fresh or v1 model) need one.
 
 Floating point is strict (no ``-ffast-math``, no contraction into fused
 multiply-adds), so a given build is bit-deterministic. The dot products
@@ -682,6 +685,39 @@ void cbos_count_release(Counter *C)
     memset(C, 0, sizeof *C);
 }
 
+/* -- subword rows ---------------------------------------------------------- */
+
+/* Word w's input rows for build_subword_cache, at rows[row_off[w] .. row_off[w + 1]): its own
+   row, left to the caller, then n_words + fnv1a_32(g) % bucket (bytes XORed sign-extended) for
+   each n-gram g of minn..maxn characters of "<word>", blob[offsets[w] .. offsets[w + 1]) (empty
+   for the empty word), in extract_ngrams order. With rows NULL it only fills row_off. */
+void cbos_subword_rows(const uint8_t *blob, const int64_t *offsets, int64_t n_words, int64_t minn, int64_t maxn,
+                       int64_t bucket, int64_t *row_off, int64_t *rows)
+{
+    int64_t k = row_off[0] = 0;
+    for (int64_t w = 0; w < n_words; w++) {
+        const uint8_t *s = blob + offsets[w];
+        const int64_t n = offsets[w + 1] - offsets[w];
+        k++; /* the word's own row */
+        for (int64_t start = 0; start < n; start++) {
+            if ((s[start] & 0xC0) == 0x80) /* a continuation byte starts no character */
+                continue;
+            uint32_t h = 2166136261u;
+            for (int64_t i = start, chars = 0; i < n && chars < maxn; i++) {
+                h = (h ^ (uint32_t)(int32_t)(int8_t)s[i]) * 16777619u;
+                if (i + 1 < n && (s[i + 1] & 0xC0) == 0x80)
+                    continue; /* inside a character */
+                if (++chars >= minn && !(start == 0 && i + 1 == n)) {
+                    if (rows)
+                        rows[k] = n_words + (int64_t)(h % (uint64_t)bucket);
+                    k++;
+                }
+            }
+        }
+        row_off[w + 1] = k;
+    }
+}
+
 /* The negative-sampling map from outside: the word training draws for each
    slot x[0..n) (for tests). */
 void cbos_negative_words(const int64_t *bounds, const Guide *guide, int64_t shift,
@@ -887,6 +923,14 @@ class Index(ctypes.Structure):
     ]
 
 
+def utf8_blob(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Every word's UTF-8 bytes back to back, and int64 offsets: word w is blob[offsets[w]:offsets[w + 1]]."""
+    encoded = [word.encode("utf-8") for word in words]
+    offsets = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in encoded], out=offsets[1:])
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+
+
 class VocabIndex:
     """Vocabulary words -> ids for the kernel's block encoder.
 
@@ -900,10 +944,7 @@ class VocabIndex:
 
     def __init__(self, words: list[str]):
         self._lib = load()
-        encoded = [word.encode("utf-8") for word in words]
-        self.blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-        self.offsets = np.zeros(len(words) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in encoded], out=self.offsets[1:])
+        self.blob, self.offsets = utf8_blob(words)
         self.table = np.empty(1 << (2 * len(words) - 1).bit_length(), dtype=np.int32)
         self.struct = Index(
             blob=self.blob.ctypes.data,
@@ -1018,7 +1059,8 @@ def build() -> str:
         return target
     compiler = _compiler()
     if compiler is None:
-        raise RuntimeError("training and counting a corpus need a C compiler: neither 'cc' nor 'gcc' is on PATH")
+        needs = "training, counting a corpus and composing an n-gram model's word vectors"
+        raise RuntimeError(f"{needs} need a C compiler: neither 'cc' nor 'gcc' is on PATH")
     stem = os.path.join(directory, f".kernel-{digest}-{os.getpid()}-{secrets.token_hex(4)}")
     try:
         with open(stem + ".c", "w", encoding="utf-8") as handle:
@@ -1063,6 +1105,8 @@ def load() -> ctypes.CDLL:
     lib.cbos_count_block.restype = ctypes.c_int64
     lib.cbos_count_release.argtypes = [ctypes.POINTER(Counter)]
     lib.cbos_count_release.restype = None
+    lib.cbos_subword_rows.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 2
+    lib.cbos_subword_rows.restype = None
     lib.cbos_negative_words.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p
     ]

@@ -100,11 +100,10 @@ def init_model(
     bucket: int,
     dim: int,
     seed: int,
-    dtype: np.dtype = np.float32,
     minn: int = 0,
     maxn: int = 0,
 ) -> EmbeddingModel:
-    """Allocate and initialize a fresh model."""
+    """Allocate and initialize a fresh float32 model."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if vocab_size < 1:
@@ -112,8 +111,8 @@ def init_model(
     if bucket < 0:
         raise ValueError(f"bucket must be >= 0, got {bucket}")
     model = EmbeddingModel(
-        input_matrix=np.empty((vocab_size + bucket, dim), dtype=dtype),
-        output_matrix=np.empty((vocab_size, dim), dtype=dtype),
+        input_matrix=np.empty((vocab_size + bucket, dim), dtype=np.float32),
+        output_matrix=np.empty((vocab_size, dim), dtype=np.float32),
         dim=dim,
         bucket=bucket,
         minn=minn,
@@ -147,7 +146,7 @@ def composed_word_matrix(model: EmbeddingModel, vocab: Vocab) -> np.ndarray:
     A loaded model's ``word_matrix``, or with n-grams disabled the first
     ``V`` input rows, are the model's own rows: they are returned as a
     read-only view, not copied. Only an n-gram model without a stored block
-    composes a new array. Copy the result to change it.
+    composes a new array, with the kernel. Copy the result to change it.
 
     Row ``w`` equals ``input_matrix[cache[w]].mean(axis=0)`` bit for bit: the
     sum starts from every word's first row and adds its ``j``-th row at step

@@ -142,12 +142,15 @@ def save_bin(model: EmbeddingModel, vocab: Vocab, config: TrainConfig, path: str
     the same type follows: :func:`cbos.model.composed_word_matrix`, which
     for a loaded model is its own block, written without a copy. Only
     float32 models are serialized; the format has no wider payload type.
-    The file appears whole or not at all (see :func:`_atomic_write`).
+    ``config`` must match the model (see :func:`_config_mismatch`). The file
+    appears whole or not at all (see :func:`_atomic_write`).
     """
     if np.dtype(model.dtype) != np.float32:
         raise ValueError(f"only float32 models are serialized, got {model.dtype}")
     if len(vocab) != model.vocab_size:
         raise ValueError("vocab size does not match model")
+    if mismatch := _config_mismatch(config, model.dim, model.minn, model.maxn, model.bucket):
+        raise ValueError(f"config does not match the model: {mismatch}")
     with _atomic_write(path, "xb") as out:
         out.write(
             _HEADER.pack(
@@ -169,6 +172,13 @@ def save_bin(model: EmbeddingModel, vocab: Vocab, config: TrainConfig, path: str
             _matrix_bytes(composed_word_matrix(model, vocab)).tofile(out)
 
 
+def _config_mismatch(config: TrainConfig, dim: int, minn: int, maxn: int, bucket: int) -> str:
+    """How ``config`` differs from a model's dim, minn, maxn and (with n-grams) bucket, or ``""``."""
+    got, want = (config.dim, config.minn, config.maxn, config.bucket), (dim, minn, maxn, bucket)
+    same = got[:3] == want[:3] and (minn == 0 or got[3] == bucket)
+    return "" if same else f"(dim, minn, maxn, bucket) {got}, not {want}"
+
+
 def _extent(path: str, size: int, at: int, count: int, what: str, itemsize: int = 1) -> int:
     """End of ``count`` items of ``itemsize`` bytes at ``at`` in a file of ``size`` bytes.
 
@@ -188,11 +198,12 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
     """Read a native binary model; exact inverse of :func:`save_bin`.
 
     Reads format versions 1 and 2. The mapped file is checked in one walk
-    from byte 0: header, config block, vocab block, each matrix, and no
-    trailing bytes; a :class:`FormatError` names the byte offset where the
-    file went wrong. The matrices, and a version 2 n-gram model's
-    ``word_matrix``, are read-only views of the mapping, so the model holds
-    one file descriptor while it is alive (see the module docstring).
+    from byte 0: header, config block (which must match the header, as
+    :func:`save_bin` requires), vocab block, each matrix, and no trailing
+    bytes; a :class:`FormatError` names the byte offset where the file went
+    wrong. The matrices, and a version 2 n-gram model's ``word_matrix``,
+    are read-only views of the mapping, so the model holds one file
+    descriptor while it is alive (see the module docstring).
     """
     with open(path, "rb") as handle:
         if os.fstat(handle.fileno()).st_size == 0:  # mmap refuses an empty file
@@ -222,6 +233,8 @@ def load_bin(path: str) -> tuple[EmbeddingModel, Vocab, TrainConfig]:
             config = TrainConfig(**json.loads(mapping[body:vocab_at]))
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: corrupt metadata block at byte {config_at}: {exc}") from None
+        if mismatch := _config_mismatch(config, dim, minn, maxn, bucket):
+            raise FormatError(f"{path}: config block at byte {config_at} does not match the header: {mismatch}")
         body = _extent(path, size, vocab_at, 8, "vocab block length")
         start = _extent(path, size, body, int.from_bytes(mapping[vocab_at:body], "little"), "vocab block")
         corrupt_vocab = f"{path}: corrupt vocab block at byte {vocab_at}:"

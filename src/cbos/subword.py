@@ -6,14 +6,13 @@ placed after the vocabulary rows. A word's input representation is then the
 set of rows ``{word_id} ∪ {V + hash(g) for each n-gram g}``, which also lets
 out-of-vocabulary words be composed from n-grams alone at query time.
 
-:func:`build_subword_cache` hashes the n-grams of the whole vocabulary at
-once, in numpy: one lane per (word, start character) walks the UTF-8 bytes
-of ``<word>``, and each step applies one 32-bit FNV-1a update to every live
-lane. Its result is CSR (offsets, ids), the form the training kernel reads;
-:func:`extract_ngrams` and :func:`fnv1a_32` are the scalar reference the
-tests compare it with; :func:`subword_ids` resolves one word (a query word,
-often out of vocabulary) through them, which for a single word costs less
-than the vectorised pass.
+:func:`build_subword_cache` hashes the n-grams of the whole vocabulary in
+one call of the compiled kernel (:mod:`cbos.kernel`), so with n-grams
+enabled it needs a C compiler. Its result is CSR (offsets, ids), the form
+the training kernel reads. :func:`extract_ngrams` and :func:`fnv1a_32` are
+the scalar reference the tests compare it with; :func:`subword_ids`
+resolves one word (a query word, often out of vocabulary) through them, so
+queries need no compiler.
 
 Setting ``minn = maxn = 0`` disables n-grams entirely (pure-word training).
 """
@@ -21,10 +20,11 @@ Setting ``minn = maxn = 0`` disables n-grams entirely (pure-word training).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
+from . import kernel
 from .corpus import Vocab
 
 BOW = "<"
@@ -32,7 +32,6 @@ EOW = ">"
 
 _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
-HASH_BATCH = 1 << 14  # words per vectorised hashing pass
 
 
 @dataclass(frozen=True)
@@ -105,59 +104,6 @@ def hash_ngram(ngram: str, bucket: int) -> int:
     return fnv1a_32(ngram.encode("utf-8")) % bucket
 
 
-def _ngram_hashes(words: Sequence[str], minn: int, maxn: int) -> tuple[np.ndarray, np.ndarray]:
-    """FNV-1a hashes of every word's n-grams as CSR: word ``i``'s are ``hashes[offsets[i]:offsets[i + 1]]``.
-
-    Each word's hashes follow :func:`extract_ngrams` order and equal
-    ``fnv1a_32(g.encode())`` for each of its n-grams ``g``. A lane starts at
-    every character of ``<word>`` that begins an n-gram and walks the bytes
-    of that start's longest n-gram, emitting its hash each time it completes
-    its n-th character with ``n >= minn``. Lanes are sorted by the bytes they
-    walk, longest first, so the lanes live at each step are a prefix.
-    """
-    data = np.frombuffer(b"".join((BOW + w + EOW).encode("utf-8") for w in words if w), dtype=np.uint8)
-    # a byte begins a character unless it is a continuation byte; the end counts as a start
-    begins = np.ones(data.size + 1, dtype=bool)
-    begins[:-1] = (data & 0xC0) != 0x80
-    char_pos = np.flatnonzero(begins)  # byte offset of every character, then of the end
-    length = np.array([len(w) + 2 if w else 0 for w in words], dtype=np.int64)  # characters of <w>
-    char_off = np.zeros(len(words) + 1, dtype=np.int64)
-    np.cumsum(length, out=char_off[1:])
-
-    lanes = np.maximum(length - minn + 1, 0)  # start characters 0 .. length - minn
-    lane_off = np.zeros(len(words) + 1, dtype=np.int64)
-    np.cumsum(lanes, out=lane_off[1:])
-    word = np.repeat(np.arange(len(words)), lanes)
-    start = np.arange(lane_off[-1]) - lane_off[word]
-    lim = np.minimum(maxn, length[word] - start)  # characters of the lane's longest n-gram
-    lim -= (start == 0) & (length[word] <= maxn)  # the whole <word> is not an n-gram
-    out_off = np.zeros(word.size + 1, dtype=np.int64)
-    np.cumsum(np.maximum(lim - minn + 1, 0), out=out_off[1:])
-    hashes = np.empty(out_off[-1] + 1, dtype=np.uint32)  # the last slot takes non-emitting lanes
-    dump = out_off[-1]
-
-    first = char_off[word] + start
-    span = char_pos[first + lim] - char_pos[first]  # bytes the lane walks
-    order = np.argsort(-span)
-    span = span[order]
-    live = np.searchsorted(-span, -np.arange(span.max(initial=0)))  # live[t]: lanes walking > t bytes
-    pos = char_pos[first[order]]
-    slot = out_off[order] - minn  # the n-gram of n characters goes to hashes[slot + n]
-    done = np.zeros(pos.size, dtype=np.int64)
-    h = np.full(pos.size, _FNV_OFFSET, dtype=np.uint32)
-    xor = data.view(np.int8).astype(np.int32).view(np.uint32)  # bytes >= 0x80 sign-extended
-    prime = np.uint32(_FNV_PRIME)
-    for m in live.tolist():
-        p, hm, n = pos[:m], h[:m], done[:m]
-        hm ^= xor[p]
-        hm *= prime
-        p += 1
-        ended = begins[p]  # the lane just completed a character
-        n += ended
-        hashes[np.where(ended & (n >= minn), slot[:m] + n, dump)] = hm
-    return out_off[lane_off], hashes[:-1]
-
-
 def subword_ids(word: str, vocab: Vocab, config: SubwordConfig) -> np.ndarray:
     """A word's input-matrix rows under ``config``, int64: its vocab id (if any), then its n-gram rows.
 
@@ -198,18 +144,20 @@ def build_subword_cache(vocab: Vocab, config: SubwordConfig) -> SubwordCache:
     """Precompute the input rows of every vocabulary word: its id, then its n-gram rows.
 
     The n-gram rows are ``V + hash_ngram(g, bucket)`` for each n-gram ``g``
-    in :func:`extract_ngrams` order, hashed for every word at once.
-    Computing these once keeps the hot training loop free of string work.
+    in :func:`extract_ngrams` order, hashed for every word by one kernel
+    loop. Computing these once keeps the hot training loop free of string
+    work. With n-grams disabled the kernel is not loaded.
     """
     # a repeated word takes its last id
     word_ids = np.array([vocab.word2id[w] for w in vocab.words], dtype=np.int64)
     if not config.enabled:
         return SubwordCache(np.arange(len(vocab) + 1, dtype=np.int64), word_ids)
-    gram_off, grams = [np.zeros(1, dtype=np.int64)], []
-    for i in range(0, max(len(vocab), 1), HASH_BATCH):  # batches bound the hasher's per-lane temporaries
-        batch_off, hashes = _ngram_hashes(vocab.words[i : i + HASH_BATCH], config.minn, config.maxn)
-        gram_off.append(batch_off[1:] + gram_off[-1][-1])
-        grams.append(hashes.astype(np.int64) % config.bucket + len(vocab))
-    gram_off = np.concatenate(gram_off)
-    ids = np.insert(np.concatenate(grams), gram_off[:-1], word_ids)
-    return SubwordCache(gram_off + np.arange(len(vocab) + 1), ids)
+    lib = kernel.load()
+    blob, offsets = kernel.utf8_blob([BOW + w + EOW if w else "" for w in vocab.words])
+    row_off = np.empty(len(vocab) + 1, dtype=np.int64)
+    args = (blob.ctypes.data, offsets.ctypes.data, len(vocab), config.minn, config.maxn, config.bucket)
+    lib.cbos_subword_rows(*args, row_off.ctypes.data, None)  # fills row_off only, to size ids
+    ids = np.empty(row_off[-1], dtype=np.int64)
+    lib.cbos_subword_rows(*args, row_off.ctypes.data, ids.ctypes.data)
+    ids[row_off[:-1]] = word_ids
+    return SubwordCache(row_off, ids)

@@ -388,7 +388,8 @@ def test_evaluate_order_does_not_change_totals(royal):
     assert fwd.total.attempted == rev.total.attempted
 
 
-def test_vector_space_units_are_the_rows_divided_by_their_norms():
+def test_vector_space_units_are_the_rows_divided_by_their_norms(monkeypatch):
+    monkeypatch.setattr(analogy_module, "SCORE_BLOCK_BYTES", 3 * 8 * 16)  # norms in blocks of 3 rows, then 1
     vocab = vocab_of([f"w{i}" for i in range(40)])
     model = init_model(40, 50, 16, seed=5, minn=2, maxn=3)
     model.input_matrix[[3, 17]] = 0.0  # words with no n-gram rows stay zero, so degenerate
@@ -401,7 +402,8 @@ def test_vector_space_units_are_the_rows_divided_by_their_norms():
     np.testing.assert_array_equal(model.input_matrix, before)
 
 
-def test_vector_space_of_a_model_without_ngrams_copies_its_rows_once():
+def test_vector_space_of_a_model_without_ngrams_copies_its_rows_once(monkeypatch):
+    monkeypatch.setattr(analogy_module, "SCORE_BLOCK_BYTES", 1 << 16)  # norm blocks far smaller than the rows
     words, dim = 20_000, 64
     vocab = Vocab([f"w{i}" for i in range(words)], [1] * words)
     model = init_model(words, 0, dim, seed=1)
@@ -412,9 +414,9 @@ def test_vector_space_of_a_model_without_ngrams_copies_its_rows_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The float64 unit rows and np.linalg.norm's float64 squares take 16 bytes per value;
-    # a float32 copy of the rows on top would take 4 more.
-    assert peak < 18 * words * dim
+    # The float64 unit rows take 8 bytes per value. Squaring them all at once for their
+    # norms would take 8 more, and a float32 copy of the rows 4 more.
+    assert peak < 1.1 * 8 * words * dim
     assert space.unit.shape == (words, dim)
     np.testing.assert_array_equal(model.input_matrix, before)
 

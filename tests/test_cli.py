@@ -445,6 +445,14 @@ def test_normalize_stdin_stdout(monkeypatch, capsys):
     assert capsys.readouterr().out == normalize_text("A-B c!\n")
 
 
+def test_normalize_closes_its_input_when_the_output_cannot_be_opened(tmp_path, capsys):
+    src = tmp_path / "raw.txt"
+    src.write_text("Hello, World!\n")
+    # a leaked input file would fail this test (see conftest.py)
+    assert run(["normalize", "-input", str(src), "-output", str(tmp_path / "missing" / "x")]) == EXIT_RUNTIME
+    assert "missing" in capsys.readouterr().err
+
+
 # -- dump-vocab -------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import mmap
 import os
 import re
 import string
+import struct
 import subprocess
 import sys
 
@@ -531,18 +532,30 @@ def test_import_and_queries_work_without_a_compiler(tmp_path):
     vocab_path = tmp_path / "corpus.txt"
     vocab_path.write_text("paris france rome italy berlin germany madrid spain\n" * 3)
     vocab = build_vocab_from_file(str(vocab_path), 1)
-    model = init_model(len(vocab), 0, 6, seed=1)
-    model_path = tmp_path / "m.cbos"
-    save_bin(model, vocab, TrainConfig(dim=6, minn=0, maxn=0, bucket=0), str(model_path))
+    model_path, ngram_path = tmp_path / "m.cbos", tmp_path / "ngram.cbos"
+    plain = init_model(len(vocab), 0, 6, seed=1)
+    save_bin(plain, vocab, TrainConfig(dim=6, minn=0, maxn=0, bucket=0), str(model_path))
+    ngram = init_model(len(vocab), 64, 6, seed=1, minn=2, maxn=3)  # saving composes its word block here
+    save_bin(ngram, vocab, TrainConfig(dim=6, minn=2, maxn=3, bucket=64), str(ngram_path))
+    v1_path = tmp_path / "v1.cbos"  # the same model in format version 1, without the word block
+    data = ngram_path.read_bytes()
+    v1_path.write_bytes(data[:4] + struct.pack("<I", 1) + data[8 : len(data) - 4 * 6 * len(vocab)])
     questions = tmp_path / "q.txt"
     questions.write_text(": capitals\nparis france rome italy\nberlin germany madrid spain\n")
     script = (
         "import contextlib, io, sys, cbos; from cbos.cli import run\n"
         f"assert run(['nn', '-model', {str(model_path)!r}, '-word', 'paris', '-k', '2']) == 0\n"
+        # a v2 n-gram model: a vocabulary word reads the word block, an unseen one the scalar hasher
+        f"assert run(['nn', '-model', {str(ngram_path)!r}, '-word', 'paris', '-k', '2']) == 0\n"
+        f"assert run(['nn', '-model', {str(ngram_path)!r}, '-word', 'parisian', '-k', '2']) == 0\n"
         f"assert run(['eval-analogy', '-model', {str(model_path)!r}, '-questions', {str(questions)!r}]) == 0\n"
+        f"assert run(['eval-analogy', '-model', {str(ngram_path)!r}, '-questions', {str(questions)!r}]) == 0\n"
         f"assert run(['dump-vocab', '-model', {str(model_path)!r}]) == 0\n"
         "with contextlib.redirect_stderr(io.StringIO()) as err:\n"  # counting a corpus needs the kernel
         f"    assert run(['dump-vocab', '-input', {str(vocab_path)!r}, '-minCount', '1']) == 2\n"
+        "assert 'C compiler' in err.getvalue(), err.getvalue()\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"  # so does composing a v1 file's word vectors
+        f"    assert run(['eval-analogy', '-model', {str(v1_path)!r}, '-questions', {str(questions)!r}]) == 2\n"
         "assert 'C compiler' in err.getvalue(), err.getvalue()\n"
         f"sys.exit(run(['train', '-input', {str(vocab_path)!r}, '-output', {str(tmp_path / 'out')!r},"
         " '-model', 'cbos', '-minCount', '1', '-minn', '0', '-maxn', '0']))\n"
@@ -554,8 +567,8 @@ def test_import_and_queries_work_without_a_compiler(tmp_path):
     assert proc.returncode == 2, proc.stderr  # training needs the compiler too
     assert "C compiler" in proc.stderr
     lines = proc.stdout.splitlines()
-    assert all(re.fullmatch(r"\S+ -?\d\.\d{4}", line) for line in lines[:2])
-    assert "capitals" in proc.stdout
+    assert all(re.fullmatch(r"\S+ -?\d\.\d{4}", line) for line in lines[:6]), lines
+    assert proc.stdout.count("capitals") == 2
     assert "paris\t3\t0\n" in proc.stdout  # dump-vocab -model
 
 

@@ -302,12 +302,12 @@ def mixed_vocab(n=300, seed=5):
 )
 def test_composed_word_matrix_is_the_per_word_mean_bit_for_bit(dtype, minn, maxn, bucket):
     vocab = mixed_vocab()
-    model = init_model(len(vocab), bucket, 6, seed=4, dtype=dtype, minn=minn, maxn=maxn)
     rng = np.random.default_rng(6)
+    shape = (len(vocab) + bucket, 6)
     # magnitudes over 8 decades, so that a different summation order changes the bits
-    model.input_matrix[:] = rng.normal(size=model.input_matrix.shape) * 10.0 ** rng.uniform(
-        -4, 4, size=model.input_matrix.shape
-    )
+    inp = (rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, size=shape)).astype(dtype)
+    out = np.zeros((len(vocab), 6), dtype=dtype)
+    model = EmbeddingModel(inp, out, dim=6, bucket=bucket, minn=minn, maxn=maxn)
     composed = composed_word_matrix(model, vocab)
     expected = np.empty_like(composed)
     for wid, word in enumerate(vocab.words):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -156,6 +157,27 @@ def test_bin_rejects_float64_models(tmp_path):
     model.output_matrix = model.output_matrix.astype(np.float64)
     with pytest.raises(ValueError, match="float32"):
         save_bin(model, vocab, config, str(tmp_path / "m.cbos"))
+
+
+@pytest.mark.parametrize("field", ["dim", "minn", "maxn", "bucket"])
+def test_bin_refuses_a_config_unlike_the_model_before_creating_the_file(tmp_path, field):
+    model, vocab, config = fixture_model(minn=3, maxn=6, bucket=64)
+    wrong = TrainConfig(**{**dataclasses.asdict(config), field: getattr(config, field) + 1})
+    got = tuple(getattr(wrong, name) for name in ("dim", "minn", "maxn", "bucket"))
+    message = f"config does not match the model: (dim, minn, maxn, bucket) {got}, not (5, 3, 6, 64)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_bin(model, vocab, wrong, str(tmp_path / "m.cbos"))
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("bucket", [0, 8])
+def test_bin_config_bucket_counts_only_with_ngrams(tmp_path, bucket):
+    # a model without n-grams reads no bucket rows, whatever bucket its config names
+    model, vocab, config = fixture_model(bucket=bucket)
+    path = str(tmp_path / "m.cbos")
+    save_bin(model, vocab, TrainConfig(**{**dataclasses.asdict(config), "bucket": 2_000_000}), path)
+    loaded, _, loaded_config = load_bin(path)
+    assert (loaded.bucket, loaded_config.bucket) == (bucket, 2_000_000)
 
 
 def test_bin_rejects_vocab_model_mismatch(tmp_path):
@@ -430,6 +452,13 @@ def with_config_payload(data: bytes, payload: bytes) -> bytes:
     return data[:36] + struct.pack("<Q", len(payload)) + payload + data[at:]
 
 
+def with_config(data: bytes, **fields) -> bytes:
+    """The model file ``data`` with the named fields of its config block set."""
+    at, _ = vocab_block(data)
+    config = json.loads(data[44:at])  # the payload follows the 36-byte header and its 8-byte length
+    return with_config_payload(data, json.dumps({**config, **fields}).encode())
+
+
 def with_vocab_payload(data: bytes, payload: bytes) -> bytes:
     """The model file ``data`` with its vocab block's payload replaced by ``payload``."""
     at, length = vocab_block(data)
@@ -446,6 +475,10 @@ CORRUPT_FILES = {  # name: (how its error begins, the file made from a good one 
         for fields, at in BAD_HEADERS
     },
     "bad config JSON": ("corrupt metadata block", lambda d: (with_config_payload(d, b"{"), 36)),
+    **{
+        f"a config {field} unlike the header's": ("config block", lambda d, f=field, v=v: (with_config(d, **{f: v}), 36))
+        for field, v in {"dim": DIM + 1, "minn": 2, "maxn": 5, "bucket": 65}.items()
+    },
     "bad vocab JSON": ("corrupt vocab block", lambda d: (with_vocab_payload(d, b"{"), vocab_block(d)[0])),
     "a word-count mismatch": (r"header claims \d+ words", lambda d: (with_header(d, v=WORDS + 1), 8)),
     "a repeated word": ("corrupt vocab block", lambda d: (with_vocab_block(d, REPEATED_WORD), vocab_block(d)[0])),

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -35,6 +36,7 @@ def one_model_at_a_time(trained):
         model = init_model(len(vocab), 0, 4, seed=len(trained))
         trained.append(weakref.ref(model))
         stats = TrainStats(1.0, 7, 7.0, 10, 0.5, 5, 5)
+        config = dataclasses.replace(config, dim=4, minn=0, maxn=0)  # the config of the model returned
         return TrainResult(model=model, vocab=vocab, config=config, stats=stats)
 
     return train

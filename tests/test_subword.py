@@ -4,7 +4,6 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-import cbos.subword as subword_module
 from cbos.analogy import UnresolvableWordError, word_vector
 from cbos.corpus import Vocab, build_vocab
 from cbos.model import init_model
@@ -171,7 +170,7 @@ def test_subword_ids_deterministic(word):
     np.testing.assert_array_equal(first, second)
 
 
-# -- the vectorised hasher against the scalar one ----------------------------
+# -- the kernel's hasher against the scalar one -----------------------------
 
 # 1-, 2-, 3- and 4-byte characters (bytes >= 0x80 from 2 bytes on), the
 # boundary markers themselves, NUL, and any other code point UTF-8 can encode
@@ -215,10 +214,8 @@ def test_subword_cache_matches_the_scalar_hasher(words, minn, extra, bucket):
 
 
 @pytest.mark.parametrize("minn", range(1, 9))
-def test_subword_cache_every_length_range(minn, monkeypatch):
-    # every 1 <= minn <= maxn <= 8, on words of every length up to 9 characters,
-    # hashed in three batches
-    monkeypatch.setattr(subword_module, "HASH_BATCH", 4)
+def test_subword_cache_every_length_range(minn):
+    # every 1 <= minn <= maxn <= 8, on words of every length up to 9 characters
     words = ["", "a", "é", "中", "😀", "ab", "a中b", "wordy", "ÿλ中😀x", "abcdefg", "a😀b😀c😀d"]
     for maxn in range(minn, 9):
         for bucket in (1, 97, 2_000_000):
