@@ -17,6 +17,9 @@ The Python :class:`cbos.trainer.Trainer` stays as its reference. Before
 that, ``cbos_subword_rows`` hashes the n-grams of every vocabulary word
 (:func:`cbos.subword.build_subword_cache`).
 
+A traced job holds one function pointer, which the kernel calls after each
+prediction's update (:class:`ChunkTrainer`): tracing keeps no buffer.
+
 A negative draw takes a uniform slot of the unigram^0.75 table of
 :func:`cbos.corpus.build_negative_table` and maps it to the word that owns
 it, through the run ends of :func:`cbos.corpus.negative_bounds` and a guide
@@ -61,7 +64,8 @@ import numpy as np
 # Columns of the per-worker slot array the kernel adds to: tokens, loss, skip-gram and bag updates
 N_SLOTS = 4
 
-FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# -falign-loops=64: predict's speed must not hinge on where an unrelated edit moves its loops
+FLAGS = ("-O3", "-ffp-contract=off", "-falign-loops=64", "-fPIC", "-shared")
 
 # Builds kept in the cache after compiling a new one: more than one, so that
 # checkouts of different versions used in turn do not recompile every time.
@@ -74,7 +78,6 @@ C_SOURCE = r"""
 #include <string.h>
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
-#define TRACE_FLUSH (1 << 20) /* int32 trace entries before returning to Python */
 
 enum { WINDOW, NEGATIVE, SUBSAMPLE, DROP, N_STREAMS };
 enum { TOKENS, LOSS, SKIPGRAM_UPDATES, BAG_UPDATES, N_SLOTS };
@@ -97,9 +100,7 @@ typedef struct {
     const Guide *guide;        /* bucket g holds slots g << guide_shift onwards (negative_guide) */
     const double *discard;     /* per-word subsampling discard probability */
     double *slots;             /* n_workers x N_SLOTS, this worker adds to its own row */
-    int32_t *events;           /* trace records, grown here, freed by cbos_release */
-    int64_t n_events;          /* int32 entries used */
-    int64_t events_cap;
+    int (*trace)(int32_t phase, int64_t pos, int32_t target, const int32_t *in, int64_t n_in); /* NULL: none */
     uint64_t seed;
     int64_t worker;
     uint64_t counter[N_STREAMS];
@@ -119,7 +120,6 @@ typedef struct {
     int64_t skipgram;
     int64_t bag_rule;
     int64_t subsample;
-    int64_t trace;
 } Job;
 
 typedef struct {
@@ -198,27 +198,12 @@ static float dot(const float *a, const float *b, int64_t n)
     return s;
 }
 
-static int emit(Job *J, int32_t phase, int64_t pos, int32_t target, const int32_t *in, int64_t n_in)
+/* The trace call after an update; nonzero stops the run. Out of line, so that predict's loops compile as
+   without it. */
+static __attribute__((noinline)) int report(const Job *J, int32_t phase, int64_t pos, int32_t target,
+                                            const int32_t *in, int64_t n_in)
 {
-    int64_t need = J->n_events + 4 + n_in;
-    if (need > J->events_cap) {
-        int64_t cap = J->events_cap ? 2 * J->events_cap : 1 << 16;
-        while (cap < need)
-            cap *= 2;
-        int32_t *grown = realloc(J->events, (size_t)cap * sizeof(int32_t));
-        if (!grown)
-            return -1;
-        J->events = grown;
-        J->events_cap = cap;
-    }
-    int32_t *e = J->events + J->n_events;
-    e[0] = phase;
-    e[1] = (int32_t)pos;
-    e[2] = target;
-    e[3] = (int32_t)n_in;
-    memcpy(e + 4, in, (size_t)n_in * sizeof(int32_t));
-    J->n_events = need;
-    return 0;
+    return J->trace(phase, pos, target, in, n_in);
 }
 
 /* One negative-sampling SGD step: the mean of the input rows `in` predicts
@@ -304,9 +289,7 @@ static int predict(Job *J, Scratch *S, int32_t phase, int64_t pos,
 
     S->loss += loss;
     S->updates[phase]++;
-    if (J->trace)
-        return emit(J, phase, pos, target, in, n_in);
-    return 0;
+    return J->trace ? report(J, phase, pos, target, in, n_in) : 0;
 }
 
 static int64_t context(int64_t n, int64_t pos, int64_t b, int32_t *ctx)
@@ -396,10 +379,9 @@ static double lr_at(const Job *J, double done)
 }
 
 /* Train on sentences ids[offsets[s] .. offsets[s + 1]); ids < 0 are
-   out-of-vocabulary tokens. Returns the number of sentences trained, fewer
-   than n_sentences when the trace buffer filled up, or -1 when memory ran
-   out. */
-int64_t cbos_train_chunk(Job *J, const int32_t *ids, const int64_t *offsets, int64_t n_sentences)
+   out-of-vocabulary tokens. Returns 0, or -1 when memory ran out or the
+   trace sink returned nonzero. */
+int cbos_train_chunk(Job *J, const int32_t *ids, const int64_t *offsets, int64_t n_sentences)
 {
     int64_t longest = 0;
     for (int64_t s = 0; s < n_sentences; s++)
@@ -417,7 +399,6 @@ int64_t cbos_train_chunk(Job *J, const int32_t *ids, const int64_t *offsets, int
     S.grad = malloc((size_t)J->dim * sizeof(float));
     S.alpha = malloc((size_t)(J->negatives + 1) * sizeof(float));
     int status = 0;
-    int64_t s = 0;
     if (!S.sent || !S.ctx || !S.bag || !S.ids || !S.outs || !S.draws || !S.hidden || !S.grad || !S.alpha) {
         status = -1;
         goto done;
@@ -428,7 +409,7 @@ int64_t cbos_train_chunk(Job *J, const int32_t *ids, const int64_t *offsets, int
     /* Other workers add to their rows concurrently: read and write through volatile. */
     volatile double *slots = J->slots;
     volatile double *row = slots + J->worker * N_SLOTS;
-    for (; s < n_sentences && status == 0 && J->n_events < TRACE_FLUSH; s++) {
+    for (int64_t s = 0; s < n_sentences && status == 0; s++) {
         int64_t n = 0, scanned = 0;
         for (int64_t i = offsets[s]; i < offsets[s + 1]; i++) {
             int32_t w = ids[i];
@@ -464,14 +445,7 @@ done:
     free(S.hidden);
     free(S.grad);
     free(S.alpha);
-    return status ? -1 : s;
-}
-
-void cbos_release(Job *J)
-{
-    free(J->events);
-    J->events = NULL;
-    J->n_events = J->events_cap = 0;
+    return status ? -1 : 0;
 }
 
 /* -- vocabulary index and block encoder ---------------------------------- */
@@ -787,6 +761,11 @@ class CounterRng:
 
 # -- the job a worker hands to the kernel ----------------------------------
 
+# The C ``Job.trace`` callback: phase, position, target, input rows and their count; nonzero stops the run.
+Trace = ctypes.CFUNCTYPE(
+    ctypes.c_int, ctypes.c_int32, ctypes.c_int64, ctypes.c_int32, ctypes.POINTER(ctypes.c_int32), ctypes.c_int64
+)
+
 
 class Job(ctypes.Structure):
     """Mirror of the C ``Job`` struct: pointers into the arrays of one worker's run."""
@@ -800,9 +779,7 @@ class Job(ctypes.Structure):
         ("guide", ctypes.c_void_p),
         ("discard", ctypes.c_void_p),
         ("slots", ctypes.c_void_p),
-        ("events", ctypes.POINTER(ctypes.c_int32)),
-        ("n_events", ctypes.c_int64),
-        ("events_cap", ctypes.c_int64),
+        ("trace", Trace),
         ("seed", ctypes.c_uint64),
         ("worker", ctypes.c_int64),
         ("counter", ctypes.c_uint64 * 4),
@@ -822,7 +799,6 @@ class Job(ctypes.Structure):
         ("skipgram", ctypes.c_int64),
         ("bag_rule", ctypes.c_int64),
         ("subsample", ctypes.c_int64),
-        ("trace", ctypes.c_int64),
     ]
 
 
@@ -870,9 +846,14 @@ def negative_guide(bounds: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 class ChunkTrainer:
-    """One worker's kernel job; holds every array the job points into."""
+    """One worker's kernel job; holds every array the job points into.
 
-    def __init__(self, arrays: dict[str, np.ndarray], **scalars):
+    The kernel calls ``on_event(phase, position, target, input_rows)`` after
+    each update (phase 0 skip-gram, 1 bag). What it raises cannot cross C:
+    it is kept, the kernel stops, and :meth:`train_chunk` raises it.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray], on_event=None, **scalars):
         self._lib = load()
         self._arrays = arrays  # keeps the buffers alive while C holds pointers
         self.job = Job(**scalars)
@@ -880,32 +861,32 @@ class ChunkTrainer:
             setattr(self.job, name, _pointer(arrays[name], dtype))
         if arrays["slots"].shape[1] != N_SLOTS or not 0 <= self.job.worker < arrays["slots"].shape[0]:
             raise ValueError("slot array does not match the worker count")
+        self._errors: list[BaseException] = []
+        if on_event is not None:
+            errors = self._errors
 
-    def train_chunk(self, ids: np.ndarray, offsets: np.ndarray, on_events=None) -> None:
-        """Train on sentence ``s`` = ``ids[offsets[s]:offsets[s + 1]]`` for every ``s``.
+            def trace(phase, position, target, rows, n):
+                try:
+                    on_event(phase, position, target, rows[:n])
+                except BaseException as exc:
+                    errors.append(exc)
+                    return 1
+                return 0
 
-        With tracing, ``on_events`` receives the trace records (int32:
-        phase, position, target, n, then n input rows; repeated) whenever
-        the kernel returns, at the latest after every few MiB of them.
-        """
+            self._trace = Trace(trace)  # keeps the callback alive while C holds it
+            self.job.trace = self._trace
+
+    def train_chunk(self, ids: np.ndarray, offsets: np.ndarray) -> None:
+        """Train on sentence ``s`` = ``ids[offsets[s]:offsets[s + 1]]`` for every ``s``, in one kernel call."""
         if offsets.size < 1 or offsets[0] != 0 or offsets[-1] != ids.size:
             raise ValueError("sentence offsets do not cover the id array")
-        ids_ptr = _pointer(ids, np.int32)
-        start, n = 0, offsets.size - 1
-        while start < n:
-            done = self._lib.cbos_train_chunk(
-                ctypes.byref(self.job), ids_ptr, _pointer(offsets[start:], np.int64), n - start
-            )
-            if done < 0:
-                raise MemoryError("training kernel ran out of memory")
-            start += done
-            if self.job.n_events:
-                records = np.ctypeslib.as_array(self.job.events, shape=(self.job.n_events,))
-                self.job.n_events = 0
-                on_events(records.copy())
-
-    def close(self) -> None:
-        self._lib.cbos_release(ctypes.byref(self.job))
+        status = self._lib.cbos_train_chunk(
+            ctypes.byref(self.job), _pointer(ids, np.int32), _pointer(offsets, np.int64), offsets.size - 1
+        )
+        if status < 0:
+            if self._errors:
+                raise self._errors.pop()
+            raise MemoryError("training kernel ran out of memory")
 
 
 # -- vocabulary index and block encoder ------------------------------------
@@ -1092,9 +1073,7 @@ def load() -> ctypes.CDLL:
     """The compiled kernel, built on first use and loaded once per process."""
     lib = ctypes.CDLL(build())
     lib.cbos_train_chunk.argtypes = [ctypes.POINTER(Job), ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-    lib.cbos_train_chunk.restype = ctypes.c_int64
-    lib.cbos_release.argtypes = [ctypes.POINTER(Job)]
-    lib.cbos_release.restype = None
+    lib.cbos_train_chunk.restype = ctypes.c_int
     lib.cbos_index_build.argtypes = [ctypes.POINTER(Index)]
     lib.cbos_index_build.restype = None
     lib.cbos_encode_block.argtypes = [

@@ -37,7 +37,6 @@ a shared slot array.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -488,17 +487,6 @@ def _print_progress(
 _PHASES = ("skipgram", "bag")
 
 
-def _emit_events(records: np.ndarray, sink: TraceSink, variant: str | None) -> None:
-    """Turn the kernel's trace records (phase, position, target, n, n input ids) into events."""
-    values = records.tolist()
-    i = 0
-    while i < len(values):
-        phase, position, target, n = values[i : i + 4]
-        ids = tuple(values[i + 4 : i + 4 + n])
-        sink(TraceEvent(_PHASES[phase], ids, target, position, variant))
-        i += 4 + n
-
-
 def train(
     config: TrainConfig,
     corpus_path: str,
@@ -525,10 +513,13 @@ def train(
     splits.
 
     Tracing requires ``workers=1``; multi-worker runs share matrices without
-    locks and are not bit-reproducible. When a worker fails, the others stop
-    before their next block, and the lowest-numbered failing worker's own
-    exception is raised here, so an error reads the same at every worker
-    count. A signal that kills the process ends every worker with it.
+    locks and are not bit-reproducible. The kernel hands ``trace`` each
+    event as it makes the prediction, so tracing keeps no buffer; what
+    ``trace`` raises stops the run and is raised here. When a worker fails,
+    the others stop before their next block, and the lowest-numbered failing
+    worker's own exception is raised here, so an error reads the same at
+    every worker count. A signal that kills the process ends every worker
+    with it.
     """
     if trace is not None and config.workers != 1:
         raise ValueError("tracing requires workers=1")
@@ -562,10 +553,14 @@ def train(
     stop = threading.Event()  # set by any worker's failure; every worker checks it before each block
     t0 = time.monotonic()
 
-    def run_slice(worker_id: int, trace: TraceSink | None, progress_out: IO[str] | None) -> None:
+    def emit(phase: int, position: int, target: int, rows: list[int]) -> None:
+        trace(TraceEvent(_PHASES[phase], tuple(rows), target, position, config.variant))
+
+    def run_slice(worker_id: int, on_event: Callable | None, progress_out: IO[str] | None) -> None:
         """Train this worker's byte slice of the corpus for every epoch in one kernel job."""
         job = kernel.ChunkTrainer(
             arrays,
+            on_event,
             seed=config.seed % 2**64,
             worker=worker_id,
             lr0=config.lr0,
@@ -584,11 +579,7 @@ def train(
             skipgram=int(skipgram),
             bag_rule=KERNEL_BAG_RULES.index(bag_rule),
             subsample=int((discard > 0).any()),
-            trace=int(trace is not None),
         )
-        on_events = None
-        if trace is not None:
-            on_events = functools.partial(_emit_events, sink=trace, variant=config.variant)
         last_print = time.monotonic()
         try:
             for _epoch in range(config.epochs):
@@ -596,7 +587,7 @@ def train(
                     if stop.is_set():
                         return
                     encoded = index.encode(block)
-                    job.train_chunk(*encoded, on_events)
+                    job.train_chunk(*encoded)
                     del encoded  # free this block's ids before the next block's are allocated
                     if progress_out is not None:
                         now = time.monotonic()
@@ -606,14 +597,12 @@ def train(
         except BaseException:
             stop.set()
             raise
-        finally:
-            job.close()
 
     # Worker 0 runs here; at workers=1 no thread starts, as the pool starts its threads on submit.
     with ThreadPoolExecutor(max(1, config.workers - 1)) as pool:
         others = [pool.submit(run_slice, w, None, None) for w in range(1, config.workers)]
         try:
-            run_slice(0, trace, progress)
+            run_slice(0, emit if trace is not None else None, progress)
             for future in others:  # waits for each worker in turn, raising its own exception
                 future.result()
         except BaseException:  # also stops the others when an interrupt comes during the wait

@@ -240,6 +240,15 @@ def test_train_trace_writes_ndjson(tmp_path):
     assert {"phase", "input_ids", "target_id", "position", "variant"} <= event.keys()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_train_trace_to_a_full_device_is_runtime_error(tmp_path, capsys):
+    corpus = write_corpus(tmp_path)  # its trace outgrows the file buffer, so a write fails mid-run
+    args = train_args(corpus, str(tmp_path / "m"), "--trace", "/dev/full", "-seed", "1")
+    assert run(args) == EXIT_RUNTIME
+    assert capsys.readouterr().err.endswith("error: [Errno 28] No space left on device\n")
+    assert not (tmp_path / "m.cbos").exists() and not (tmp_path / "m.vec").exists()
+
+
 def test_train_trace_requires_single_thread(tmp_path):
     corpus = write_corpus(tmp_path)
     trace = tmp_path / "t.ndjson"

@@ -9,6 +9,7 @@ import string
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -681,9 +682,11 @@ def test_kernel_matches_python_reference(
     assert blobs[0] == blobs[1]
 
 
-def test_trace_buffer_drains_mid_chunk_without_changing_the_model(tmp_path):
-    # ~1.5M int32 trace entries in one chunk: the kernel returns to Python at
-    # least once to hand them over, then resumes at the next sentence
+MANY_PREDICTIONS = (1 << 20) // 5  # as (phase, position, target, n, row) int32 records, over 4 MiB
+
+
+def many_predictions_run(tmp_path):
+    """A corpus of one block, and a config, whose traced run makes more than MANY_PREDICTIONS predictions."""
     rng = np.random.default_rng(0)
     words = [f"w{i}" for i in range(50)]
     path = tmp_path / "corpus.txt"
@@ -692,9 +695,54 @@ def test_trace_buffer_drains_mid_chunk_without_changing_the_model(tmp_path):
         model_kind="skipgram", dim=8, ws=5, epochs=1, negatives=1, minn=0, maxn=0, bucket=0,
         min_count=1, t=1.0, seed=2,
     )
+    return str(path), config
+
+
+def test_every_trace_record_of_a_long_chunk_reaches_the_sink_without_changing_the_model(tmp_path):
+    path, config = many_predictions_run(tmp_path)
     events = []
-    traced = train(config, str(path), trace=events.append)
-    plain = train(config, str(path))
-    assert len(events) == traced.stats.updates > (1 << 20) // 5
+    traced = train(config, path, trace=events.append)
+    plain = train(config, path)
+    assert len(events) == traced.stats.updates > MANY_PREDICTIONS
     np.testing.assert_array_equal(traced.model.input_matrix, plain.model.input_matrix)
     np.testing.assert_array_equal(traced.model.output_matrix, plain.model.output_matrix)
+
+
+def test_tracing_needs_no_memory_beyond_the_untraced_run(tmp_path):
+    path, config = many_predictions_run(tmp_path)
+    kernel.load()  # compiling is not part of a run
+    count = 0
+
+    def counting(event):
+        nonlocal count
+        count += 1
+
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        train(config, path)
+        plain_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        train(config, path, trace=counting)
+        traced_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count > MANY_PREDICTIONS
+    assert traced_peak < plain_peak + (2 << 20)
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+def test_a_failing_trace_sink_stops_training_with_its_own_exception(tmp_path, capfd, error):
+    path, config = many_predictions_run(tmp_path)
+    failure = error("the sink fails on its 1000th event")
+    seen = []
+
+    def failing(event):
+        seen.append(event)
+        if len(seen) == 1000:
+            raise failure
+
+    with pytest.raises(error) as info:
+        train(config, path, trace=failing)
+    assert info.value is failure
+    assert len(seen) == 1000  # the kernel stopped at the failing prediction
+    assert capfd.readouterr().err == ""  # raised, not printed and ignored

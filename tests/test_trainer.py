@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -780,24 +781,23 @@ def test_failing_worker_stops_the_others(tmp_path, monkeypatch, failing, error):
     failed = threading.Event()
     served = []
 
+    class StopEvent(threading.Event):
+        def set(self):
+            super().set()
+            failed.set()
+
     def slices(path, worker_id, n_workers):
         for block in iter_slice_chunks(path, worker_id, n_workers):
             if worker_id == failing:
                 raise error(f"worker {failing} fails on its first block")
-            # The other worker takes a block only once the failing one has released its job.
+            # The other worker takes a block only once the failing one has set the run's stop event.
             assert failed.wait(timeout=10), f"worker {failing} never finished failing"
             served.append(block)
             yield block
 
-    close = kernel.ChunkTrainer.close
-
-    def closing(job):
-        close(job)
-        if job.job.worker == failing:
-            failed.set()
-
     monkeypatch.setattr(trainer_module, "iter_slice_chunks", slices)
-    monkeypatch.setattr(kernel.ChunkTrainer, "close", closing)
+    # train()'s own threading: the threads the pool starts keep the real Event
+    monkeypatch.setattr(trainer_module, "threading", types.SimpleNamespace(Event=StopEvent))
     with pytest.raises(error, match=f"worker {failing} fails on its first block"):
         train(quick_config(workers=2, epochs=1), path)
     assert len(served) <= 2  # the other worker stopped before its next block, not after its slice
