@@ -11,9 +11,8 @@ Everything here is numpy only (no compiled kernel on a model that holds its
 word vectors). :class:`VectorSpace` builds the unit vectors of the whole
 vocabulary once from :func:`cbos.model.composed_word_matrix`, in one float64
 copy of the rows a model holds (normed in row blocks of at most
-``SCORE_BLOCK_BYTES``); :func:`nearest_neighbors` sorts only the words that
-reach the k-th best score, which gives the same list, ties to the lower
-id, as sorting the whole vocabulary.
+``SCORE_BLOCK_BYTES``), and on first use one float32 copy of those,
+``VectorSpace.unit32``, which both float32 screens below read.
 
 :func:`evaluate` scores its questions in blocks
 (:meth:`VectorSpace.predict_ids`): one float32 matrix product per block
@@ -30,10 +29,21 @@ candidate left, a NaN score or a degenerate query word) is answered by
 :meth:`VectorSpace.predict_id`, which scores in float64 and settles exact
 ties to the lower id. Every prediction is therefore the one
 ``predict_id`` gives.
+
+:func:`nearest_neighbors` screens every word the same way, with one float32
+matrix-vector product. With t its k-th best score, every word of the exact
+top k scores at least t - 2δ in float32, so only the words at or above
+``t - 2δ - NEAR_TIE`` are settled: scored in float64 and stably sorted, ties
+to the lower id. The settle rule (``np.einsum``) gives a row the same bits
+whichever other rows share the call; a BLAS product blocks its rows by how
+many there are, so a subset of rows can score other bits than the whole
+vocabulary. So every list is the one a stable sort of every word's float64
+score gives.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -50,6 +60,7 @@ logger = logging.getLogger(__name__)
 NORM_EPSILON = 1e-12
 SCORE_BLOCK_BYTES = 4 << 20  # size of the score buffer of one predict_ids call, and of a norm block
 NEAR_TIE = 1e-10  # rivals within 2δ + NEAR_TIE of a block's best score are re-scored one by one
+_LOWEST_FLOAT32 = np.finfo(np.float32).min
 _NO_CANDIDATE = "no candidate with a usable vector"
 SYNTACTIC_PREFIX = "gram"
 SPLITS = ("semantic", "syntactic")
@@ -172,17 +183,20 @@ def category_split(category: str, split_map: Mapping[str, str] | None = None) ->
 def word_vector(model: EmbeddingModel, vocab: Vocab, word: str) -> np.ndarray:
     """Compose a word's vector: mean of its word row (if any) and n-gram rows.
 
-    A vocabulary word of a loaded n-gram model reads its stored row of
-    ``word_matrix`` (the same bits as the mean) and gathers nothing.
+    A vocabulary word reads the row the model holds for it and gathers
+    nothing: its input row when the model has no n-grams, its stored row of
+    ``word_matrix`` on a loaded n-gram model (the same bits as the mean).
     Out-of-vocabulary words are composed from n-gram rows alone, which is
     what makes subword models useful on unseen words. Raises
     :class:`UnresolvableWordError` when no rows exist at all (OOV with
     n-grams disabled, or a word too short to yield a single n-gram).
     """
     own_id = vocab.id_of(word)
-    if own_id is not None and model.word_matrix is not None:
-        return model.word_matrix[own_id].copy()
-    ids = subword_ids(word, vocab, model_subword_config(model))
+    config = model_subword_config(model)
+    if own_id is not None and (model.word_matrix is not None or not config.enabled):
+        rows = model.input_matrix if model.word_matrix is None else model.word_matrix
+        return rows[own_id].copy()
+    ids = subword_ids(word, vocab, config)
     if ids.size == 0:
         raise UnresolvableWordError(word)
     return model.input_matrix[ids].mean(axis=0)
@@ -211,7 +225,8 @@ class VectorSpace:
     ``degenerate`` flags rows whose norm is below ``NORM_EPSILON``; those
     can neither form queries nor win an argmax. Scoring happens in float64
     so ranking does not depend on float32 summation order; the float32
-    screen of :meth:`predict_ids` only answers where that cannot matter.
+    screens of :meth:`predict_ids` and :func:`nearest_neighbors` only answer
+    where that cannot matter.
     """
 
     def __init__(self, model: EmbeddingModel, vocab: Vocab):
@@ -224,6 +239,11 @@ class VectorSpace:
         norms[self.degenerate] = 1.0
         matrix /= norms[:, np.newaxis]
         self.unit = matrix
+
+    @functools.cached_property
+    def unit32(self) -> np.ndarray:
+        """``unit`` cast to float32, the rows the screens score; built on first use."""
+        return self.unit.astype(np.float32)
 
     def predict_id(self, ia: int, ib: int, ic: int) -> int:
         """Argmax-cosine answer id for norm(b) - norm(a) + norm(c)."""
@@ -251,7 +271,7 @@ class VectorSpace:
         """
         ia, ib, ic = (np.asarray(x, dtype=np.int64) for x in (ia, ib, ic))
         vocab_size, dim = self.unit.shape
-        unit32 = self.unit.astype(np.float32)
+        unit32 = self.unit32
         block = max(1, SCORE_BLOCK_BYTES // (unit32.itemsize * max(vocab_size, 1)))
         buf = np.empty((block, vocab_size), np.float32)
         margin = 2 * float32_score_bound(dim) + NEAR_TIE
@@ -448,8 +468,20 @@ def nearest_neighbors(
 
     The query word itself is excluded when in vocab; ties order by lower
     vocab id. Fewer than k pairs come back when the vocabulary is small.
-    Only the words scoring at or above the k-th largest score are sorted,
-    which gives the same list as a stable sort of the whole vocabulary.
+
+    Every word is screened in float32 (``space.unit32``). With t the k-th
+    best float32 score and δ = :func:`float32_score_bound` (the query has
+    norm 1), k words score at least t, so the k-th best exact score is at
+    least t - δ and every word of the exact top k scores at least
+    t - 2δ in float32. Only the words at or above ``t - 2δ - NEAR_TIE``
+    (rounded down to float32; every finite one when at most k are finite)
+    are settled: scored in float64 and stably sorted. A row's float64 score
+    must not depend on which other rows share the call, or a settled word
+    could score other bits than in a scan of the whole vocabulary: a BLAS
+    matrix-vector product blocks its rows by how many there are, so the
+    candidates are scored by ``np.einsum``, row by row. The list is
+    therefore the one a stable sort of every word's float64 score gives,
+    without the words that score NaN.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -459,13 +491,21 @@ def nearest_neighbors(
         raise DegenerateVectorError(word)
     if space is None:
         space = VectorSpace(model, vocab)
-    scores = space.unit @ (vec / norm)
+    query = vec / norm
+    scores = space.unit32 @ query.astype(np.float32)
+    scores[np.isnan(scores)] = -np.inf
     scores[space.degenerate] = -np.inf
     own_id = vocab.id_of(word)
     if own_id is not None:
         scores[own_id] = -np.inf
-    candidates = np.arange(scores.size)
-    if k < scores.size:  # only scores at or above the k-th largest can be in the top k
-        candidates = np.flatnonzero(scores >= np.partition(scores, scores.size - k)[scores.size - k])
-    order = candidates[np.argsort(-scores[candidates], kind="stable")[:k]]
-    return [(vocab.words[i], float(scores[i])) for i in order if np.isfinite(scores[i])]
+    floor = -np.inf  # stays -inf, keeping every finite score, when at most k are finite
+    if k < scores.size:
+        floor = float(np.partition(scores, scores.size - k)[scores.size - k])
+        floor -= 2 * float32_score_bound(model.dim) + NEAR_TIE
+    cut = np.float32(floor)
+    if cut > floor:  # rounded to nearest; step down so the float32 comparison keeps all of them
+        cut = np.nextafter(cut, np.float32(-np.inf))
+    candidates = np.flatnonzero(scores >= max(cut, _LOWEST_FLOAT32))  # never a -inf score
+    exact = np.einsum("ij,j->i", space.unit[candidates], query)
+    order = np.argsort(-exact, kind="stable")[:k]
+    return list(zip((vocab.words[i] for i in candidates[order].tolist()), exact[order].tolist()))

@@ -37,7 +37,6 @@ a shared slot array.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -145,30 +144,26 @@ class TraceEvent:
     position: int
     variant: str | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "phase": self.phase,
-                "input_ids": list(self.input_ids),
-                "target_id": self.target_id,
-                "position": self.position,
-                "variant": self.variant,
-            }
-        )
-
 
 TraceSink = Callable[[TraceEvent], object]
 
 
 class JsonTraceWriter:
-    """Trace sink writing newline-delimited JSON events to a file object."""
+    """Trace sink writing newline-delimited JSON events to a file object.
+
+    Each line is what ``json.dumps`` makes of the event's fields, formatted
+    directly: the phase and variant names need no escaping.
+    """
 
     def __init__(self, out: IO[str]):
         self.out = out
 
     def __call__(self, event: TraceEvent) -> None:
-        self.out.write(event.to_json())
-        self.out.write("\n")
+        variant = "null" if event.variant is None else f'"{event.variant}"'
+        self.out.write(
+            f'{{"phase": "{event.phase}", "input_ids": [{", ".join(map(str, event.input_ids))}], '
+            f'"target_id": {event.target_id}, "position": {event.position}, "variant": {variant}}}\n'
+        )
 
 
 def sample_window(ws: int, rng: np.random.Generator) -> int:

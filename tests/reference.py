@@ -4,6 +4,8 @@
   :meth:`cbos.kernel.VocabIndex.encode`.
 * :func:`discard_probability` is the scalar reference of
   :meth:`cbos.corpus.Vocab.discard_probs`.
+* :func:`full_scan_neighbors` is the float64 full-scan reference of
+  :func:`cbos.analogy.nearest_neighbors`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from cbos.analogy import NORM_EPSILON, DegenerateVectorError, VectorSpace, word_vector
 
 
 def encode_chunk(block: bytes, word2id: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -42,3 +46,23 @@ def discard_probability(word_freq: float, threshold: float) -> float:
     ratio = threshold / word_freq
     keep = min(1.0, math.sqrt(ratio) + ratio)
     return 1.0 - keep
+
+
+def full_scan_neighbors(model, vocab, word: str, k: int) -> list[tuple[str, float]]:
+    """The neighbour list from a stable sort of every vocabulary word's float64 score.
+
+    Each row is scored by ``np.einsum``, whose bits for a row do not depend
+    on the other rows of the call; that is the rule ``nearest_neighbors``
+    settles its candidates with.
+    """
+    space = VectorSpace(model, vocab)
+    vec = word_vector(model, vocab, word).astype(np.float64)
+    norm = float(np.linalg.norm(vec))
+    if norm < NORM_EPSILON:
+        raise DegenerateVectorError(word)
+    scores = np.einsum("ij,j->i", space.unit, vec / norm)
+    scores[space.degenerate] = -np.inf
+    if word in vocab:
+        scores[vocab.id_of(word)] = -np.inf
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [(vocab.words[i], float(scores[i])) for i in order if np.isfinite(scores[i])]

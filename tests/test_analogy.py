@@ -30,6 +30,7 @@ from cbos.analogy import (
 from cbos.corpus import Vocab, build_vocab
 from cbos.model import EmbeddingModel, composed_word_matrix, init_model, model_subword_config
 from cbos.subword import subword_ids
+from reference import full_scan_neighbors
 
 
 def vocab_of(words):
@@ -152,6 +153,23 @@ def test_word_vector_plain_is_input_row():
     vocab = vocab_of(["red", "blue"])
     model = init_model(2, 0, 4, seed=0)
     np.testing.assert_array_equal(word_vector(model, vocab, "red"), model.input_matrix[0])
+
+
+def test_word_vector_of_a_model_without_ngrams_reads_its_row_without_composing(monkeypatch):
+    vocab = vocab_of(["red", "blue"])
+    model = init_model(2, 0, 4, seed=0)
+    model.input_matrix[1, 2] = -0.0  # the mean of the one row would make it +0.0
+    means = [model.input_matrix[[i]].mean(axis=0) for i in range(2)]
+
+    def no_subword_ids(*args):
+        raise AssertionError("subword_ids called")
+
+    monkeypatch.setattr(analogy_module, "subword_ids", no_subword_ids)
+    for i, word in enumerate(["red", "blue"]):
+        vec = word_vector(model, vocab, word)
+        assert vec.tobytes() == model.input_matrix[i].tobytes() == composed_word_matrix(model, vocab)[i].tobytes()
+        np.testing.assert_array_equal(vec, means[i])
+        assert not np.shares_memory(vec, model.input_matrix)
 
 
 def test_word_vector_plain_oov_raises():
@@ -730,20 +748,6 @@ def test_nearest_neighbors_subword_query_for_oov():
     assert len(result) == 2  # composed query still ranks the whole vocab
 
 
-def full_sort_neighbors(model, vocab, word, k):
-    """The neighbour list from a stable sort of every vocabulary score."""
-    space = VectorSpace(model, vocab)
-    vec = word_vector(model, vocab, word).astype(np.float64)
-    if np.linalg.norm(vec) < NORM_EPSILON:
-        raise DegenerateVectorError(word)
-    scores = space.unit @ (vec / np.linalg.norm(vec))
-    scores[space.degenerate] = -np.inf
-    if word in vocab:
-        scores[vocab.id_of(word)] = -np.inf
-    order = np.argsort(-scores, kind="stable")[:k]
-    return [(vocab.words[i], float(scores[i])) for i in order if np.isfinite(scores[i])]
-
-
 TIED_ROWS = [[1, 0], [2, 0], [0, 0], [1, 0], [0, 1], [3, 0], [0, 0], [0, 2], [1, 1], [1, 0]]
 
 
@@ -755,7 +759,7 @@ def test_nearest_neighbors_top_k_equals_a_full_stable_sort(word, k):
     vocab = vocab_of([f"w{i}" for i in range(len(TIED_ROWS))])
     model = model_from_rows(TIED_ROWS)
     result = nearest_neighbors(model, vocab, word, k)
-    assert result == full_sort_neighbors(model, vocab, word, k)
+    assert result == full_scan_neighbors(model, vocab, word, k)
     assert word not in [w for w, _ in result]
     assert len(result) == min(k, 7)  # 10 words less the query and the two degenerate rows
     if word == "w0" and k >= 4:  # the three other words along x tie at cosine 1, lowest id first
@@ -777,9 +781,77 @@ def test_nearest_neighbors_top_k_equals_a_full_stable_sort_on_random_models(data
     word = data.draw(st.sampled_from(vocab.words + ["oov"]))
     k = data.draw(st.integers(1, n + 1))
     try:
-        expected = full_sort_neighbors(model, vocab, word, k)
+        expected = full_scan_neighbors(model, vocab, word, k)
     except (DegenerateVectorError, UnresolvableWordError) as exc:
         with pytest.raises(type(exc)):
             nearest_neighbors(model, vocab, word, k)
     else:
         assert nearest_neighbors(model, vocab, word, k) == expected
+
+
+def planted_near_ties(dim, seed):
+    """Row 0 is the query; rows 1-300 lie a few float32 ulps apart near it, the rest point away.
+
+    The near rows' float64 scores differ by ~1e-8, less than float32 can
+    resolve, so their float32 scores often rank them in another order.
+    """
+    rng = np.random.default_rng(seed)
+    query = rng.normal(size=dim).astype(np.float32)
+    near = (query + 0.5 * rng.normal(size=dim)).astype(np.float32)
+    near_rows = near + rng.integers(-4, 5, size=(300, dim)) * np.spacing(np.abs(near))
+    far = rng.normal(size=(200, dim))
+    far *= -np.sign(far @ query)[:, np.newaxis]
+    return np.vstack([query[np.newaxis], near_rows, far]).astype(np.float32)
+
+
+def ks_a_float32_cut_misses(space, row0):
+    """The k for which a row of the float64 top k scores below the k-th float32 score; row 0 queries."""
+    query = row0.astype(np.float64)
+    query /= float(np.linalg.norm(query))  # as nearest_neighbors norms it
+    screen = space.unit32 @ query.astype(np.float32)  # as nearest_neighbors screens
+    exact = np.einsum("ij,j->i", space.unit, query)
+    screen[0] = exact[0] = -np.inf
+    order = np.argsort(-exact, kind="stable")
+    n = len(screen)
+    return [k for k in range(1, 301) if (screen[order[:k]] < np.partition(screen, n - k)[n - k]).any()]
+
+
+@pytest.mark.parametrize("dim", [2, 100])
+def test_nearest_neighbors_keeps_words_the_float32_screen_ranks_below_the_kth(dim):
+    # the margin of 2δ below the k-th float32 score is what keeps such a word
+    for seed in range(20):
+        rows = planted_near_ties(dim, seed)
+        vocab = Vocab([f"w{i}" for i in range(len(rows))], [1] * len(rows))
+        model = model_from_rows(rows)
+        space = VectorSpace(model, vocab)
+        missed = ks_a_float32_cut_misses(space, rows[0])
+        if missed:
+            break
+    assert missed, "no seed planted a float32 rank inversion"
+    for k in missed:
+        assert nearest_neighbors(model, vocab, "w0", k, space=space) == full_scan_neighbors(model, vocab, "w0", k)
+
+
+@pytest.mark.parametrize("dim", [2, 7, 100, 300])
+def test_settle_rule_scores_a_row_alike_alone_in_a_subset_and_in_the_full_scan(dim):
+    rng = np.random.default_rng(dim)
+    unit = rng.normal(size=(1003, dim))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    query = rng.normal(size=dim)
+    query /= np.linalg.norm(query)
+    full = np.einsum("ij,j->i", unit, query)
+    for _ in range(50):
+        subset = np.sort(rng.choice(1003, size=int(rng.integers(1, 1003)), replace=False))
+        assert np.einsum("ij,j->i", unit[subset], query).tobytes() == full[subset].tobytes()
+    for i in rng.choice(1003, size=20, replace=False):
+        assert np.einsum("ij,j->i", unit[[i]], query).tobytes() == full[[i]].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 6])
+def test_nearest_neighbors_skips_rows_that_score_nan(k):
+    rows = np.array([[1, 0], [np.nan, 1], [2, 1], [np.nan, np.nan], [1, 1]], dtype=np.float32)
+    vocab = vocab_of([f"w{i}" for i in range(len(rows))])
+    model = model_from_rows(rows)
+    result = nearest_neighbors(model, vocab, "w0", k)
+    assert result == full_scan_neighbors(model, vocab, "w0", k)
+    assert [w for w, _ in result] == ["w2", "w4"][:k]

@@ -844,3 +844,13 @@ def test_trace_writer_emits_parseable_ndjson():
         "variant": None,
     }
     assert json.loads(lines[1])["variant"] == "next_word"
+
+
+@pytest.mark.parametrize("variant", (*CBOS_VARIANTS, None))
+@pytest.mark.parametrize("phase", ["skipgram", "bag"])
+@pytest.mark.parametrize("input_ids", [(7,), (0, 3, 12, 2_000_000, 45)])
+def test_trace_writer_lines_are_those_of_json_dumps(phase, input_ids, variant):
+    sink = io.StringIO()
+    JsonTraceWriter(sink)(TraceEvent(phase, input_ids, 11, 250, variant))
+    fields = {"phase": phase, "input_ids": list(input_ids), "target_id": 11, "position": 250, "variant": variant}
+    assert sink.getvalue() == json.dumps(fields) + "\n"
